@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the two hot kernels on a configurable problem size.
 
-Runs the two hot paths (field superposition, batch cone feet) on a
-configurable problem size and reports per-backend timings and speedup.
+Times the field superposition on every available backend (numba against
+the pure-numpy fallback, with the speedup) and the batch nearest-foot
+Newton solve, which is numpy only.
 
 Usage:
   python benchmarks/benchmark_kernels.py
@@ -19,6 +20,7 @@ from nfbeam import kernels
 from nfbeam.field import ObservationGrid
 from nfbeam.geometry import SteeringAngles, steering_rotation
 from nfbeam.synthesis import ArrayGeometry
+from nfbeam.wavefront import Wavefront
 
 WAVELENGTH = 299_792_458.0 / 100e9
 
@@ -50,34 +52,33 @@ def main() -> int:
 
     rot = steering_rotation(SteeringAngles.from_degrees(20.0, 10.0))
     pe = array.element_positions @ rot.T
-    feet_args = (pe, kernels.KIND_CONE, 0.2, 1e-12, 50, 1e-6, array.spacing)
+    cone = Wavefront.cone(0.2)
 
     backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
     if kernels.HAVE_NUMBA:
         # compile outside the timed region
         kernels.field_sum(array.element_positions, currents, grid.points[:8], k, backend="numba")
-        kernels.nearest_feet(*feet_args, backend="numba")
 
     print(
         f"array {args.nx}x{args.nz} ({array.num_elements} elements), "
         f"grid {args.grid}x{args.grid} ({grid.num_points} points), "
         f"best of {args.repeat}"
     )
-    for name, fn in (
-        (
-            "field_sum",
-            lambda b: kernels.field_sum(
-                array.element_positions, currents, grid.points, k, backend=b
+    times = {}
+    for backend in backends:
+        times[backend] = time_call(
+            lambda: kernels.field_sum(
+                array.element_positions, currents, grid.points, k, backend=backend
             ),
-        ),
-        ("cone_feet", lambda b: kernels.nearest_feet(*feet_args, backend=b)),
-    ):
-        times = {}
-        for backend in backends:
-            times[backend] = time_call(lambda: fn(backend), args.repeat)
-            print(f"  {name:10s} {backend:6s} {times[backend] * 1e3:12.2f} ms")
-        if "numba" in times:
-            print(f"  {name:10s} speedup numba/numpy: {times['numpy'] / times['numba']:.1f}x")
+            args.repeat,
+        )
+        print(f"  {'field_sum':10s} {backend:6s} {times[backend] * 1e3:12.2f} ms")
+    if "numba" in times:
+        print(f"  {'field_sum':10s} speedup numba/numpy: {times['numpy'] / times['numba']:.1f}x")
+    feet = time_call(
+        lambda: kernels.nearest_feet(pe, cone, 1e-12, 50, 1e-6, array.spacing), args.repeat
+    )
+    print(f"  {'cone_feet':10s} {'numpy':6s} {feet * 1e3:12.2f} ms")
     return 0
 
 

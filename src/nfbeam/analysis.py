@@ -16,11 +16,8 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import find_peaks
 
-from .field import FieldGrid, ObservationGrid, total_field
+from .field import AXIS_INDEX, PLANE_AXES, FieldGrid, ObservationGrid, total_field
 from .synthesis import ArrayGeometry, Excitation
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-_PLANE_AXES = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
 
 
 class EmptyGrid(ValueError):
@@ -180,10 +177,10 @@ def transverse_profile(
     grid = fg.grid
     if grid.plane is None or grid.shape is None:
         raise LineOutsideGrid("transverse profiles require a plane grid")
-    name1, name2 = _PLANE_AXES[grid.plane]
-    i1, i2 = _AXIS_INDEX[name1], _AXIS_INDEX[name2]
+    name1, name2 = PLANE_AXES[grid.plane]
+    i1, i2 = AXIS_INDEX[name1], AXIS_INDEX[name2]
     const_axis = ({"x", "y", "z"} - {name1, name2}).pop()
-    ic = _AXIS_INDEX[const_axis]
+    ic = AXIS_INDEX[const_axis]
 
     point = np.asarray(axis_point, dtype=float)
     d = np.asarray(direction, dtype=float)

@@ -370,7 +370,6 @@ def cmd_run(cfg: SimulationConfig) -> int:
     paths = write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
     entries = run_analysis(scn, fg, pd)
     elapsed = time.perf_counter() - start
-    entries.append(("runtime_s", elapsed))
     report_path = _out(cfg, cfg.report)
     analysis.export_report_text(entries, report_path)
     analysis.export_report_csv(entries, report_path.with_suffix(".csv"))

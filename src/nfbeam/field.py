@@ -24,7 +24,7 @@ from .synthesis import ArrayGeometry, Excitation
 SPEED_OF_LIGHT = 299_792_458.0
 
 PLANE_AXES = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FAR_FIELD_CLEARANCE_WAVELENGTHS = 10.0
 
 
@@ -78,10 +78,10 @@ class ObservationGrid:
         a2 = np.linspace(bounds2[0], bounds2[1], n2)
         name1, name2 = PLANE_AXES[plane]
         pts = np.empty((n1 * n2, 3))
-        pts[:, _AXIS_INDEX[name1]] = np.repeat(a1, n2)
-        pts[:, _AXIS_INDEX[name2]] = np.tile(a2, n1)
+        pts[:, AXIS_INDEX[name1]] = np.repeat(a1, n2)
+        pts[:, AXIS_INDEX[name2]] = np.tile(a2, n1)
         const_axis = ({"x", "y", "z"} - {name1, name2}).pop()
-        pts[:, _AXIS_INDEX[const_axis]] = offset
+        pts[:, AXIS_INDEX[const_axis]] = offset
         pts.setflags(write=False)
         return cls(points=pts, plane=plane, axis1=a1, axis2=a2, offset=float(offset))
 

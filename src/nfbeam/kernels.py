@@ -1,19 +1,22 @@
-"""Hot numeric kernels with numba and pure-numpy backends.
+"""Hot numeric kernels: the nearest-foot Newton solve and the field sum.
 
-Two inner loops dominate runtime: the per-element nearest-foot Newton solve
-during phase synthesis, and the per-point phasor superposition when mapping
-the vector field.  Both are implemented twice with identical semantics:
+Two inner loops dominate runtime:
 
-* ``numba``: @njit kernels, parallel over independent work units;
-* ``numpy``: vectorized fallback, no compilation required.
+* ``nearest_feet``: the Newton solve for each element's foot on a canonical
+  surface that has no closed-form distance.  It is one numpy
+  implementation, vectorized over elements, for every surface kind.
+* ``field_sum``: the per-point phasor superposition when mapping the
+  vector field.  It has two backends with identical semantics: ``numba``
+  (@njit, parallel over points) and ``numpy`` (vectorized, no
+  compilation required).
 
-The default backend is numba when importable; setting the environment
+``field_sum`` defaults to numba when importable; setting the environment
 variable ``NFBEAM_NO_NUMBA`` to anything other than ``0``/``false`` selects
-the numpy path.  Every public function also accepts ``backend=`` for
-explicit selection (used by the equivalence tests and the benchmark).
+the numpy path, and ``backend=`` selects one explicitly (used by the
+equivalence tests and the benchmark).
 
-Per-element/per-point accumulation runs in ascending index order on both
-backends, so results are deterministic and rerun-identical.
+Per-point accumulation runs in ascending element order on both backends,
+so results are deterministic and rerun-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import os
 from typing import NamedTuple
 
 import numpy as np
+
+from .wavefront import CONE, Wavefront, surface_eval, surface_gradient, surface_hessian
 
 try:
     from numba import njit, prange
@@ -32,16 +37,13 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 _ENV_FLAG = "NFBEAM_NO_NUMBA"
 
-KIND_PLANE = 0
-KIND_CONE = 1
-
 
 def numba_disabled_by_env() -> bool:
     return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("", "0", "false")
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Pick the kernel backend: explicit argument > env flag > availability."""
+    """Pick the ``field_sum`` backend: explicit argument > env flag > availability."""
     if backend is None:
         return "numpy" if (not HAVE_NUMBA or numba_disabled_by_env()) else "numba"
     if backend not in ("numba", "numpy"):
@@ -73,102 +75,107 @@ class FootBatch(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _plane_feet_numpy(xe, ye, ze, tol):
+def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
+    """Newton iteration from (x0, z0) for every row; only unsettled rows iterate.
+
+    A row settles when its residual drops to ``tol`` (converged), when it
+    runs out of iterations, when its Jacobian turns singular, or when a
+    cone iterate lands on the apex, where the surface has no normal.
+    """
     n = xe.shape[0]
-    t = -ye
-    g1 = np.zeros(n)
-    conv = (np.abs(g1) <= tol) & np.isfinite(t)
-    return xe.copy(), ze.copy(), t, np.zeros(n, np.int64), conv
-
-
-def _cone_newton_numpy(m, xe, ye, ze, x0, z0, tol, max_iter):
-    x = np.array(x0, dtype=float, copy=True)
-    z = np.array(z0, dtype=float, copy=True)
-    n = x.shape[0]
-    t = np.zeros(n)
+    x = np.array(x0, dtype=float)
+    z = np.array(z0, dtype=float)
+    dist = np.full(n, np.nan)
+    t = np.full(n, np.nan)
     iters = np.zeros(n, np.int64)
     conv = np.zeros(n, bool)
-    dead = np.zeros(n, bool)
+    act = np.arange(n)
     for step in range(max_iter + 1):
-        act = ~(conv | dead)
-        if not act.any():
+        if w.kind == CONE:  # the apex has no gradient: that start ends there
+            act = act[(x[act] != 0.0) | (z[act] != 0.0)]
+        if act.size == 0:
             break
+        xa, za = x[act], z[act]
+        fx, fz = (np.broadcast_to(g, xa.shape) for g in surface_gradient(w, xa, za))
+        ta = surface_eval(w, xa, za) - ye[act]
+        g1 = xa - xe[act] + ta * fx
+        g2 = za - ze[act] + ta * fz
+        done = (np.abs(g1) <= tol) & (np.abs(g2) <= tol)
+        hit = act[done]
+        dist[hit] = ta[done] * np.sqrt(1.0 + fx[done] * fx[done] + fz[done] * fz[done])
+        t[hit] = ta[done]
+        conv[hit] = True
+        if step == max_iter:
+            break
+        go = ~done
+        act, xa, za, ta, fx, fz, g1, g2 = (v[go] for v in (act, xa, za, ta, fx, fz, g1, g2))
+        fxx, fxz, fzz = surface_hessian(w, xa, za)
+        j11 = 1.0 + fx * fx + ta * fxx
+        j12 = fx * fz + ta * fxz
+        j22 = 1.0 + fz * fz + ta * fzz
+        det = j11 * j22 - j12 * j12
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.sqrt(x * x + z * z)
-            hit_apex = act & (rho == 0.0)
-            dead |= hit_apex
-            act &= ~hit_apex
-            fx = m * x / rho
-            fz = m * z / rho
-            tt = m * rho - ye
-            g1 = x - xe + tt * fx
-            g2 = z - ze + tt * fz
-            just = act & (np.abs(g1) <= tol) & (np.abs(g2) <= tol)
-            t[just] = tt[just]
-            conv |= just
-            act &= ~just
-            if step == max_iter or not act.any():
-                break
-            r3 = rho * rho * rho
-            fxx = m * z * z / r3
-            fzz = m * x * x / r3
-            fxz = -m * x * z / r3
-            j11 = 1.0 + fx * fx + tt * fxx
-            j12 = fx * fz + tt * fxz
-            j22 = 1.0 + fz * fz + tt * fzz
-            det = j11 * j22 - j12 * j12
-            bad = act & ((det == 0.0) | ~np.isfinite(det))
-            dead |= bad
-            act &= ~bad
             dx = (-g1 * j22 + g2 * j12) / det
             dz = (-g2 * j11 + g1 * j12) / det
-            x[act] += dx[act]
-            z[act] += dz[act]
-            iters[act] += 1
-    return x, z, t, iters, conv
+        go = (det != 0.0) & np.isfinite(det)
+        act = act[go]
+        x[act] = xa[go] + dx[go]
+        z[act] = za[go] + dz[go]
+        iters[act] += 1
+    return FootBatch(dist, x, z, t, iters, conv)
 
 
-def _nearest_feet_numpy(pe, kind, m, tol, max_iter, guard, perturb):
+def nearest_feet(
+    elem_primed: np.ndarray,
+    wavefront: Wavefront,
+    tol: float,
+    max_iter: int,
+    apex_guard: float,
+    apex_perturb: float,
+) -> FootBatch:
+    """Nearest foot on the canonical ``wavefront`` for each steered-frame element.
+
+    ``elem_primed`` is (M, 3).  Newton starts below the element.  On the
+    cone, starts within ``apex_guard`` of the axis are pushed out radially
+    by ``apex_perturb``, a second start mirrors the first through the axis,
+    and the apex itself is a candidate when the perpendicular foot would
+    fall at negative radius; the nearest converged candidate wins.  Rows
+    with no candidate come back with ``converged=False`` and NaN distance;
+    the caller decides how to fall back.
+    """
+    pe = np.ascontiguousarray(elem_primed, dtype=np.float64)
+    if pe.ndim != 2 or pe.shape[1] != 3:
+        raise ValueError(f"elem_primed must have shape (M, 3), got {pe.shape}")
     xe, ye, ze = pe[:, 0], pe[:, 1], pe[:, 2]
-    n = xe.shape[0]
-    if kind == KIND_PLANE:
-        fx, fz, t, iters, conv = _plane_feet_numpy(xe, ye, ze, tol)
-        return FootBatch(t.copy(), fx, fz, t, iters, conv)
+    if wavefront.kind != CONE:
+        return _newton(wavefront, xe, ye, ze, xe, ze, tol, max_iter)
 
-    n_norm = np.sqrt(1.0 + m * m)
-    x0 = xe.copy()
-    z0 = ze.copy()
+    x0, z0 = xe.copy(), ze.copy()
     rho0 = np.sqrt(x0 * x0 + z0 * z0)
-    off = (rho0 < guard) & (rho0 > 0.0)
-    if off.any():
-        x0[off] += perturb * x0[off] / rho0[off]
-        z0[off] += perturb * z0[off] / rho0[off]
-    x0[rho0 == 0.0] = perturb
-
-    x1, z1, t1, it1, c1 = _cone_newton_numpy(m, xe, ye, ze, x0, z0, tol, max_iter)
-    x2, z2, t2, it2, c2 = _cone_newton_numpy(m, xe, ye, ze, -x0, -z0, tol, max_iter)
-
-    d1 = t1 * n_norm
-    d2 = t2 * n_norm
-    # apex is the constrained minimizer when the perpendicular foot would
-    # fall at negative radius along the cone's meridian
-    rho_e = np.sqrt(xe * xe + ze * ze)
-    apex = rho_e + m * ye <= 0.0
-    d3 = np.sqrt(xe * xe + ye * ye + ze * ze)
-
-    a1 = np.where(c1, np.abs(d1), np.inf)
-    a2 = np.where(c2, np.abs(d2), np.inf)
-    a3 = np.where(apex, d3, np.inf)
-    stacked = np.stack([a1, a2, a3])
-    choice = np.argmin(stacked, axis=0)
-    ok = np.take_along_axis(stacked, choice[None, :], axis=0)[0] < np.inf
-
-    dist = np.where(choice == 0, d1, np.where(choice == 1, d2, d3))
-    foot_x = np.where(choice == 0, x1, np.where(choice == 1, x2, 0.0))
-    foot_z = np.where(choice == 0, z1, np.where(choice == 1, z2, 0.0))
-    t = np.where(choice == 2, -ye, np.where(choice == 0, t1, t2))
-    dist = np.where(ok, dist, np.nan)
-    return FootBatch(dist, foot_x, foot_z, t, it1 + it2, ok)
+    near = (rho0 < apex_guard) & (rho0 > 0.0)
+    x0[near] += apex_perturb * x0[near] / rho0[near]
+    z0[near] += apex_perturb * z0[near] / rho0[near]
+    x0[rho0 == 0.0] = apex_perturb
+    zeros = np.zeros_like(xe)
+    candidates = [
+        _newton(wavefront, xe, ye, ze, x0, z0, tol, max_iter),
+        _newton(wavefront, xe, ye, ze, -x0, -z0, tol, max_iter),
+        FootBatch(
+            np.sqrt(xe * xe + ye * ye + ze * ze),
+            zeros,
+            zeros,
+            -ye,
+            np.zeros(xe.shape, np.int64),
+            np.sqrt(xe * xe + ze * ze) + wavefront.h_over_r * ye <= 0.0,
+        ),
+    ]
+    stacked = FootBatch(*(np.stack(column) for column in zip(*candidates)))
+    # an unconverged candidate scores inf; if none converged, the first start
+    # (NaN distance) is kept
+    score = np.where(stacked.converged, np.abs(stacked.signed_distance), np.inf)
+    rows = (np.argmin(score, axis=0), np.arange(xe.shape[0]))
+    best = FootBatch(*(column[rows] for column in stacked))
+    return best._replace(iterations=stacked.iterations.sum(axis=0))
 
 
 def _field_sum_numpy(pos, cur, pts, k, chunk=16384):
@@ -209,112 +216,6 @@ def _field_sum_numpy(pos, cur, pts, k, chunk=16384):
 
 if HAVE_NUMBA:
 
-    @njit(cache=True)
-    def _newton_foot_nb(kind, m, xe, ye, ze, x0, z0, tol, max_iter):
-        x = x0
-        z = z0
-        it = 0
-        while True:
-            if kind == KIND_PLANE:
-                f = 0.0
-                fx = 0.0
-                fz = 0.0
-                rho = 1.0
-            else:
-                rho = np.sqrt(x * x + z * z)
-                if rho == 0.0:
-                    return x, z, 0.0, it, False
-                f = m * rho
-                fx = m * x / rho
-                fz = m * z / rho
-            t = f - ye
-            g1 = x - xe + t * fx
-            g2 = z - ze + t * fz
-            if abs(g1) <= tol and abs(g2) <= tol:
-                return x, z, t, it, True
-            if it >= max_iter:
-                return x, z, t, it, False
-            if kind == KIND_PLANE:
-                fxx = 0.0
-                fzz = 0.0
-                fxz = 0.0
-            else:
-                r3 = rho * rho * rho
-                fxx = m * z * z / r3
-                fzz = m * x * x / r3
-                fxz = -m * x * z / r3
-            j11 = 1.0 + fx * fx + t * fxx
-            j12 = fx * fz + t * fxz
-            j22 = 1.0 + fz * fz + t * fzz
-            det = j11 * j22 - j12 * j12
-            if det == 0.0 or not np.isfinite(det):
-                return x, z, t, it, False
-            x += (-g1 * j22 + g2 * j12) / det
-            z += (-g2 * j11 + g1 * j12) / det
-            it += 1
-
-    @njit(parallel=True, cache=True)
-    def _nearest_feet_nb(pe, kind, m, tol, max_iter, guard, perturb):
-        nelem = pe.shape[0]
-        dist = np.empty(nelem)
-        foot_x = np.empty(nelem)
-        foot_z = np.empty(nelem)
-        t_out = np.empty(nelem)
-        iters = np.zeros(nelem, np.int64)
-        ok = np.zeros(nelem, np.bool_)
-        n_norm = np.sqrt(1.0 + m * m)
-        for i in prange(nelem):
-            xe = pe[i, 0]
-            ye = pe[i, 1]
-            ze = pe[i, 2]
-            if kind == KIND_PLANE:
-                dist[i] = -ye
-                foot_x[i] = xe
-                foot_z[i] = ze
-                t_out[i] = -ye
-                ok[i] = np.isfinite(ye)
-                continue
-            x0 = xe
-            z0 = ze
-            rho0 = np.sqrt(x0 * x0 + z0 * z0)
-            if rho0 < guard:
-                if rho0 > 0.0:
-                    x0 += perturb * x0 / rho0
-                    z0 += perturb * z0 / rho0
-                else:
-                    x0 = perturb
-            best = np.inf
-            bd = np.nan
-            bx = np.nan
-            bz = np.nan
-            bt = np.nan
-            x1, z1, t1, it1, c1 = _newton_foot_nb(kind, m, xe, ye, ze, x0, z0, tol, max_iter)
-            total_it = it1
-            if c1:
-                d1 = t1 * n_norm
-                best = abs(d1)
-                bd, bx, bz, bt = d1, x1, z1, t1
-            x2, z2, t2, it2, c2 = _newton_foot_nb(kind, m, xe, ye, ze, -x0, -z0, tol, max_iter)
-            total_it += it2
-            if c2:
-                d2 = t2 * n_norm
-                if abs(d2) < best:
-                    best = abs(d2)
-                    bd, bx, bz, bt = d2, x2, z2, t2
-            rho_e = np.sqrt(xe * xe + ze * ze)
-            if rho_e + m * ye <= 0.0:
-                d3 = np.sqrt(xe * xe + ye * ye + ze * ze)
-                if d3 < best:
-                    best = d3
-                    bd, bx, bz, bt = d3, 0.0, 0.0, -ye
-            dist[i] = bd
-            foot_x[i] = bx
-            foot_z[i] = bz
-            t_out[i] = bt
-            iters[i] = total_it
-            ok[i] = best < np.inf
-        return dist, foot_x, foot_z, t_out, iters, ok
-
     @njit(parallel=True, cache=True)
     def _field_sum_nb(pos, cur, pts, k):
         npts = pts.shape[0]
@@ -354,32 +255,6 @@ if HAVE_NUMBA:
             ey[p] = ay
             ez[p] = az
         return ex, ey, ez
-
-
-def nearest_feet(
-    elem_primed: np.ndarray,
-    kind: int,
-    h_over_r: float,
-    tol: float,
-    max_iter: int,
-    apex_guard: float,
-    apex_perturb: float,
-    backend: str | None = None,
-) -> FootBatch:
-    """Nearest wavefront foot for each element position in the steered frame.
-
-    ``elem_primed`` is (M, 3); ``kind`` selects the canonical surface
-    (KIND_PLANE or KIND_CONE with slope ``h_over_r``).  Rows that converge
-    to no candidate foot come back with ``converged=False`` and NaN
-    distance; the caller decides how to fall back.
-    """
-    pe = np.ascontiguousarray(elem_primed, dtype=np.float64)
-    if pe.ndim != 2 or pe.shape[1] != 3:
-        raise ValueError(f"elem_primed must have shape (M, 3), got {pe.shape}")
-    if resolve_backend(backend) == "numba":
-        out = _nearest_feet_nb(pe, kind, h_over_r, tol, max_iter, apex_guard, apex_perturb)
-        return FootBatch(*out)
-    return _nearest_feet_numpy(pe, kind, h_over_r, tol, max_iter, apex_guard, apex_perturb)
 
 
 def field_sum(

@@ -1,9 +1,11 @@
 """Minimum signed distance from an antenna element to a steered wavefront.
 
 The element is mapped into the steered frame, where the wavefront is its
-canonical surface y = f(x, z), and the foot of the perpendicular is found
-by Newton iteration on the two-variable system obtained by eliminating the
-line parameter t:
+canonical surface y = f(x, z).  The plane and the cone have closed-form
+distances (:func:`plane_distance_closed_form`,
+:func:`cone_distance_closed_form`); for any surface the foot of the
+perpendicular is found by Newton iteration (:func:`kernels.nearest_feet`)
+on the two-variable system obtained by eliminating the line parameter t:
 
     g1(x, z) = x - x_e + t * df/dx = 0
     g2(x, z) = z - z_e + t * df/dz = 0      with  t = f(x, z) - y_e.
@@ -24,17 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geometry import SteeringAngles, to_primed
-from .wavefront import (
-    CONE,
-    CUSTOM,
-    PLANE,
-    ApexSingularity,
-    SteeredWavefront,
-    Wavefront,
-    surface_eval,
-    surface_gradient,
-)
+from .wavefront import SteeredWavefront, surface_eval
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,133 +82,39 @@ class FootSolution:
     converged: bool
 
 
-def _hessian(w: Wavefront, x: float, z: float) -> tuple[float, float, float]:
-    """(fxx, fxz, fzz) of the canonical surface; finite differences for customs."""
-    if w.kind == PLANE:
-        return 0.0, 0.0, 0.0
-    if w.kind == CONE:
-        rho3 = (x * x + z * z) ** 1.5
-        if rho3 == 0.0:
-            raise ApexSingularity("cone curvature undefined at the apex")
-        m = w.h_over_r
-        return m * z * z / rho3, -m * x * z / rho3, m * x * x / rho3
-    h = 1e-6 * max(1.0, math.hypot(x, z))
-    gxp, gzp = surface_gradient(w, x + h, z)
-    gxm, gzm = surface_gradient(w, x - h, z)
-    fxx = (gxp - gxm) / (2.0 * h)
-    fxz = (gzp - gzm) / (2.0 * h)
-    _, gzp2 = surface_gradient(w, x, z + h)
-    _, gzm2 = surface_gradient(w, x, z - h)
-    fzz = (gzp2 - gzm2) / (2.0 * h)
-    return fxx, fxz, fzz
-
-
-def _newton_run(
-    w: Wavefront,
-    xe: float,
-    ye: float,
-    ze: float,
-    x0: float,
-    z0: float,
-    cfg: SolverConfig,
-) -> tuple[float, float, float, int, bool]:
-    """Newton iteration from (x0, z0); returns (x, z, t, iterations, converged)."""
-    x, z = x0, z0
-    it = 0
-    while True:
-        if w.kind == CONE and x == 0.0 and z == 0.0:
-            raise ApexSingularity("Newton iterate reached the cone apex")
-        f = surface_eval(w, x, z)
-        fx, fz = surface_gradient(w, x, z)
-        t = f - ye
-        g1 = x - xe + t * fx
-        g2 = z - ze + t * fz
-        if abs(g1) <= cfg.residual_tol and abs(g2) <= cfg.residual_tol:
-            return x, z, t, it, True
-        if it >= cfg.max_iterations:
-            return x, z, t, it, False
-        fxx, fxz, fzz = _hessian(w, x, z)
-        j11 = 1.0 + fx * fx + t * fxx
-        j12 = fx * fz + t * fxz
-        j22 = 1.0 + fz * fz + t * fzz
-        det = j11 * j22 - j12 * j12
-        if det == 0.0 or not math.isfinite(det):
-            return x, z, t, it, False
-        x += (-g1 * j22 + g2 * j12) / det
-        z += (-g2 * j11 + g1 * j12) / det
-        it += 1
-
-
-def _signed_distance_at(w: Wavefront, x: float, z: float, t: float) -> float:
-    fx, fz = surface_gradient(w, x, z)
-    return t * math.sqrt(1.0 + fx * fx + fz * fz)
-
-
 def solve_foot(
     w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
 ) -> FootSolution:
     """Nearest point on the steered wavefront from an element in the array plane.
 
-    Raises :class:`NonConvergence` when no Newton start converges (callers
-    fall back to :func:`oracle_min_distance`) and :class:`ApexSingularity`
-    when an iterate lands exactly on the cone apex.
+    A one-row call to :func:`kernels.nearest_feet`.  Raises
+    :class:`NonConvergence` when no Newton start converges (callers fall
+    back to :func:`oracle_min_distance`).
     """
     cfg = cfg or SolverConfig()
-    base = w.base
     pe = to_primed(w.rotation, element_pos)
-    xe, ye, ze = float(pe[0]), float(pe[1]), float(pe[2])
-
-    x0, z0 = xe, ze
-    if base.kind == CONE:
-        guard = cfg.apex_guard if cfg.apex_guard is not None else 1e-12
-        perturb = (
-            cfg.apex_perturb
-            if cfg.apex_perturb is not None
-            else max(1e-6, 1e-3 * math.sqrt(xe * xe + ye * ye + ze * ze))
-        )
-        rho0 = math.hypot(x0, z0)
-        if rho0 < guard:
-            if rho0 > 0.0:
-                x0 += perturb * x0 / rho0
-                z0 += perturb * z0 / rho0
-            else:
-                x0 = perturb
-
-    candidates: list[tuple[float, float, float, float, int]] = []
-    total_it = 0
-    apex_hit = None
-    starts = [(x0, z0)]
-    if base.kind == CONE:
-        starts.append((-x0, -z0))
-    for sx, sz in starts:
-        try:
-            x, z, t, it, ok = _newton_run(base, xe, ye, ze, sx, sz, cfg)
-        except ApexSingularity as exc:
-            apex_hit = exc
-            continue
-        total_it += it
-        if ok:
-            d = _signed_distance_at(base, x, z, t)
-            candidates.append((abs(d), d, x, z, it))
-    if base.kind == CONE:
-        m = base.h_over_r
-        rho_e = math.hypot(xe, ze)
-        if rho_e + m * ye <= 0.0:
-            d = math.sqrt(xe * xe + ye * ye + ze * ze)
-            candidates.append((d, d, 0.0, 0.0, 0))
-
-    if not candidates:
-        if apex_hit is not None:
-            raise apex_hit
+    guard = cfg.apex_guard if cfg.apex_guard is not None else 1e-12
+    perturb = (
+        cfg.apex_perturb
+        if cfg.apex_perturb is not None
+        else max(1e-6, 1e-3 * float(np.linalg.norm(pe)))
+    )
+    batch = kernels.nearest_feet(
+        pe[None, :], w.base, cfg.residual_tol, cfg.max_iterations, guard, perturb
+    )
+    if not batch.converged[0]:
         raise NonConvergence(
             f"no Newton start converged within {cfg.max_iterations} iterations "
-            f"for element ({xe:.6g}, {ye:.6g}, {ze:.6g})"
+            f"for element ({pe[0]:.6g}, {pe[1]:.6g}, {pe[2]:.6g})"
         )
-    _, d, x, z, _ = min(candidates, key=lambda c: c[0])
-    foot = np.array([x, surface_eval(base, x, z), z])
-    t = surface_eval(base, x, z) - ye
+    x, z = float(batch.foot_x[0]), float(batch.foot_z[0])
+    y = surface_eval(w.base, x, z)
     return FootSolution(
-        foot=foot, t=t, signed_distance=d, iterations=total_it, converged=True
+        foot=np.array([x, y, z]),
+        t=y - float(pe[1]),
+        signed_distance=float(batch.signed_distance[0]),
+        iterations=int(batch.iterations[0]),
+        converged=True,
     )
 
 
@@ -301,29 +201,37 @@ def oracle_cell_diagonal(cfg: SolverConfig, halfwidth: float | None = None) -> f
     return math.sqrt(2.0) * cell
 
 
-def plane_distance_closed_form(angles: SteeringAngles, element_pos: np.ndarray) -> float:
-    """Signed element-to-tilted-plane distance: x_a cos(el) sin(az) + z_a sin(el)."""
-    x_a, z_a = float(element_pos[0]), float(element_pos[2])
-    return x_a * math.cos(angles.elevation) * math.sin(angles.azimuth) + z_a * math.sin(
+def plane_distance_closed_form(angles: SteeringAngles, element_pos: np.ndarray):
+    """Signed element-to-tilted-plane distance: x_a cos(el) sin(az) + z_a sin(el).
+
+    ``element_pos`` is one (3,) position (float result) or an (M, 3) stack.
+    """
+    p = np.asarray(element_pos, dtype=float)
+    x_a, z_a = p[..., 0], p[..., 2]
+    d = x_a * math.cos(angles.elevation) * math.sin(angles.azimuth) + z_a * math.sin(
         angles.elevation
     )
+    return d if d.ndim else float(d)
 
 
-def cone_distance_closed_form(h_over_r: float, element_primed: np.ndarray) -> float:
+def cone_distance_closed_form(h_over_r: float, element_primed: np.ndarray):
     """Signed distance to the canonical cone via the meridian-plane reduction.
 
     The cone is axisymmetric, so the problem collapses to the distance from
     (rho, y) to the ray y = (h/r) * rho, rho >= 0, with the apex taken as
     the nearest point when the perpendicular foot would fall at rho < 0.
     Sign matches :func:`solve_foot` (positive below the surface).
+    ``element_primed`` is one (3,) position (float result) or an (M, 3) stack.
     """
     m = float(h_over_r)
-    x, y, z = (float(v) for v in element_primed)
-    rho = math.hypot(x, z)
+    p = np.asarray(element_primed, dtype=float)
+    y = p[..., 1]
+    rho = np.hypot(p[..., 0], p[..., 2])
     foot_rho = (rho + m * y) / (1.0 + m * m)
-    if foot_rho < 0.0:
-        return math.sqrt(rho * rho + y * y)
-    return (m * rho - y) / math.sqrt(1.0 + m * m)
+    d = np.where(
+        foot_rho < 0.0, np.sqrt(rho * rho + y * y), (m * rho - y) / math.sqrt(1.0 + m * m)
+    )
+    return d if d.ndim else float(d)
 
 
 def oracle_signed_min_distance(

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import kernels
 from .solver import (
-    NonConvergence,
     SolverConfig,
     SolverFailure,
+    cone_distance_closed_form,
     oracle_signed_min_distance,
-    solve_foot,
+    plane_distance_closed_form,
+    solve_foot,  # noqa: F401 - benchmark tracers look it up on this module
 )
-from .wavefront import CONE, PLANE, ApexSingularity, SteeredWavefront
+from .wavefront import CONE, PLANE, SteeredWavefront
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,51 +110,38 @@ def synthesize(
     w: SteeredWavefront,
     cfg: SolverConfig | None = None,
     method: str = "auto",
-    backend: str | None = None,
 ) -> PhaseDistribution:
     """Solve every element's distance to the steered wavefront and phase it.
 
-    ``method='auto'`` short-circuits plane wavefronts to the closed form and
-    runs cone wavefronts through the batch Newton kernel; ``method='newton'``
-    forces the numerical path for every beam kind.  Elements whose Newton
-    starts all fail fall back to the brute-force oracle; only if that also
-    fails does :class:`SolverFailure` propagate.
+    ``method='auto'`` uses the closed forms for plane and cone wavefronts
+    and one batch Newton solve (:func:`kernels.nearest_feet`) for custom
+    surfaces; ``method='newton'`` forces the Newton solve for every beam
+    kind.  Elements whose Newton starts all fail fall back to the
+    brute-force oracle; only if that also fails does :class:`SolverFailure`
+    propagate.
     """
     if method not in ("auto", "newton"):
         raise ValueError(f"method must be 'auto' or 'newton', got {method!r}")
     cfg = _with_array_defaults(cfg or SolverConfig(), array)
+    pos = array.element_positions
     kind = w.base.kind
 
-    if kind == PLANE and method == "auto":
-        x_a = array.element_positions[:, 0]
-        z_a = array.element_positions[:, 2]
-        dist = (
-            x_a * math.cos(w.angles.elevation) * math.sin(w.angles.azimuth)
-            + z_a * math.sin(w.angles.elevation)
-        )
-    elif kind in (PLANE, CONE):
-        pe = array.element_positions @ w.rotation.T
+    if method == "auto" and kind == PLANE:
+        dist = plane_distance_closed_form(w.angles, pos)
+    elif method == "auto" and kind == CONE:
+        dist = cone_distance_closed_form(w.base.h_over_r, pos @ w.rotation.T)
+    else:
         batch = kernels.nearest_feet(
-            pe,
-            kernels.KIND_PLANE if kind == PLANE else kernels.KIND_CONE,
-            w.base.h_over_r,
+            pos @ w.rotation.T,
+            w.base,
             cfg.residual_tol,
             cfg.max_iterations,
             cfg.apex_guard,
             cfg.apex_perturb,
-            backend=backend,
         )
-        dist = batch.signed_distance.copy()
+        dist = batch.signed_distance
         for n in np.flatnonzero(~batch.converged):
-            dist[n] = _fallback_distance(w, array.element_positions[n], cfg)
-    else:
-        dist = np.empty(array.num_elements)
-        for n in range(array.num_elements):
-            pos = array.element_positions[n]
-            try:
-                dist[n] = solve_foot(w, pos, cfg).signed_distance
-            except (NonConvergence, ApexSingularity):
-                dist[n] = _fallback_distance(w, pos, cfg)
+            dist[n] = _fallback_distance(w, pos[n], cfg)
 
     if not np.all(np.isfinite(dist)):
         raise SolverFailure("non-finite distance after Newton and oracle fallback")

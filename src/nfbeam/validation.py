@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import ObservationGrid, total_field
+from .field import ObservationGrid, export_field_csv, frequency_to_wavelength, total_field
 from .geometry import SteeringAngles, steering_rotation
 from .solver import (
     SolverConfig,
@@ -31,7 +31,6 @@ from .synthesis import (
     synthesize,
     to_excitation,
 )
-from .field import export_field_csv
 from .wavefront import Wavefront, steer, surface_eval, surface_gradient
 
 
@@ -79,7 +78,7 @@ def check_gradient_finite_difference(rng: np.random.Generator) -> CheckResult:
 
 
 def check_plane_closed_form_regression(rng: np.random.Generator) -> CheckResult:
-    wavelength = 299_792_458.0 / 100e9
+    wavelength = frequency_to_wavelength(100e9)
     array = ArrayGeometry.half_wave(32, 32, wavelength)
     worst = 0.0
     for az_deg in (-40.0, -20.0, 0.0, 20.0, 40.0):

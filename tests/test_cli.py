@@ -154,14 +154,19 @@ class TestPipelineCommands:
         assert "estimated_azimuth_deg:" in report
         assert "propagation_range_m:" in report
 
-    def test_rerun_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("field", ("phase.csv", "field.csv", "field_Emag.pgm")),
+            ("run", ("phase.csv", "field.csv", "field_Emag.pgm", "report.txt", "report.csv")),
+        ],
+        ids=["field", "run"],
+    )
+    def test_rerun_byte_identical(self, tmp_path, command, names):
         path, out_dir = write_config(tmp_path)
-        assert main(["field", "--config", str(path)]) == 0
-        first = {
-            name: (out_dir / name).read_bytes()
-            for name in ("phase.csv", "field.csv", "field_Emag.pgm")
-        }
-        assert main(["field", "--config", str(path)]) == 0
+        assert main([command, "--config", str(path)]) == 0
+        first = {name: (out_dir / name).read_bytes() for name in names}
+        assert main([command, "--config", str(path)]) == 0
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob
 

@@ -5,6 +5,7 @@ import pytest
 
 from nfbeam import kernels
 from nfbeam.solver import cone_distance_closed_form
+from nfbeam.wavefront import Wavefront
 
 needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 
@@ -44,27 +45,26 @@ class TestBackendSelection:
             kernels.resolve_backend("fortran")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNearestFeet:
-    def test_cone_matches_meridian_closed_form(self, backend, rng):
+    def test_cone_matches_meridian_closed_form(self, rng):
         pe = random_primed_elements(rng)
-        out = kernels.nearest_feet(pe, kernels.KIND_CONE, 0.3, 1e-12, 50, 1e-6, 1e-4, backend=backend)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.3), 1e-12, 50, 1e-6, 1e-4)
         assert out.converged.all()
         ref = np.array([cone_distance_closed_form(0.3, p) for p in pe])
         np.testing.assert_allclose(out.signed_distance, ref, atol=1e-12)
 
-    def test_plane_kind(self, backend, rng):
+    def test_plane_kind(self, rng):
         pe = random_primed_elements(rng, n=64)
-        out = kernels.nearest_feet(pe, kernels.KIND_PLANE, 0.0, 1e-12, 50, 1e-6, 1e-4, backend=backend)
+        out = kernels.nearest_feet(pe, Wavefront.plane(), 1e-12, 50, 1e-6, 1e-4)
         assert out.converged.all()
         np.testing.assert_array_equal(out.signed_distance, -pe[:, 1])
         np.testing.assert_array_equal(out.foot_x, pe[:, 0])
         np.testing.assert_array_equal(out.foot_z, pe[:, 2])
 
-    def test_apex_elements(self, backend):
+    def test_apex_elements(self):
         # apex directly above/below the element projection, including the apex itself
         pe = np.array([[0.0, 0.0, 0.0], [0.0, -0.05, 0.0], [0.0, 0.05, 0.0]])
-        out = kernels.nearest_feet(pe, kernels.KIND_CONE, 0.2, 1e-12, 50, 1e-6, 1e-4, backend=backend)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.2), 1e-12, 50, 1e-6, 1e-4)
         assert out.converged.all()
         assert out.signed_distance[0] == 0.0
         assert out.signed_distance[1] == pytest.approx(0.05, abs=1e-12)
@@ -75,14 +75,6 @@ class TestNearestFeet:
 
 @needs_numba
 class TestBackendEquivalence:
-    def test_cone_feet_identical(self, rng):
-        pe = random_primed_elements(rng, n=500)
-        args = (pe, kernels.KIND_CONE, 0.2, 1e-12, 50, 1e-6, 1e-4)
-        a = kernels.nearest_feet(*args, backend="numba")
-        b = kernels.nearest_feet(*args, backend="numpy")
-        np.testing.assert_allclose(a.signed_distance, b.signed_distance, rtol=1e-14, atol=1e-18)
-        np.testing.assert_array_equal(a.converged, b.converged)
-
     def test_field_sum_agrees(self, rng):
         pos = rng.uniform(-0.05, 0.05, size=(100, 3))
         pos[:, 1] = 0.0

@@ -8,6 +8,7 @@ from nfbeam.geometry import SteeringAngles
 from nfbeam.solver import (
     SolverConfig,
     cone_distance_closed_form,
+    oracle_signed_min_distance,
     plane_distance_closed_form,
     solve_foot,
 )
@@ -23,8 +24,6 @@ from nfbeam.wavefront import Wavefront, steer
 
 WAVELENGTH = 0.003
 TWO_PI = 2.0 * math.pi
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
 
 class TestArrayGeometry:
@@ -157,18 +156,48 @@ class TestSynthesize:
         # shallow bowl near the origin: distance is within (0, height-ish]
         assert np.all(pd.signed_distances > 0.0)
 
-    def test_kernel_backends_agree(self):
+    def test_auto_and_newton_match_cone_closed_form(self):
         arr = ArrayGeometry.half_wave(12, 12, WAVELENGTH)
         sw = steer(Wavefront.cone(0.2), SteeringAngles.from_degrees(20.0, 10.0))
-        # the cone distance has a closed form, so every backend is checked
-        # against it and the test runs wherever numpy does
         primed = arr.element_positions @ sw.rotation.T
         ref = np.array([cone_distance_closed_form(0.2, p) for p in primed])
-        dists = {b: synthesize(arr, sw, backend=b).signed_distances for b in BACKENDS}
-        for d in dists.values():
+        for method in ("auto", "newton"):
+            d = synthesize(arr, sw, method=method).signed_distances
             np.testing.assert_allclose(d, ref, rtol=1e-14, atol=1e-15)
-        if "numba" in dists:
-            np.testing.assert_allclose(dists["numba"], dists["numpy"], rtol=1e-14, atol=1e-18)
+
+    @pytest.mark.parametrize("analytic_gradient", [True, False])
+    def test_custom_tilted_plane_matches_plane_closed_form(self, analytic_gradient):
+        # the steered plane written out in the original frame, y = a x + b z,
+        # solved by Newton under identity steering
+        angles = SteeringAngles.from_degrees(20.0, -10.0)
+        a = math.tan(angles.azimuth)
+        b = math.tan(angles.elevation) / math.cos(angles.azimuth)
+
+        def gradient(x, z):
+            return a * np.ones_like(x), b * np.ones_like(z)
+
+        tilted = Wavefront.custom(
+            surface=lambda x, z: a * x + b * z,
+            gradient=gradient if analytic_gradient else None,
+        )
+        arr = ArrayGeometry.half_wave(12, 12, WAVELENGTH)
+        pd = synthesize(arr, steer(tilted, SteeringAngles(0.0, 0.0)))
+        ref = plane_distance_closed_form(angles, arr.element_positions)
+        np.testing.assert_allclose(pd.signed_distances, ref, rtol=0.0, atol=1e-12)
+
+    def test_unconverged_rows_fall_back_to_oracle(self):
+        # one iteration cannot reach a 1e-12 residual on a wiggly surface
+        wiggle = Wavefront.custom(
+            surface=lambda x, z: 0.05 * np.sin(40.0 * x) + 0.03 * np.cos(25.0 * z)
+        )
+        sw = steer(wiggle, SteeringAngles(0.0, 0.0))
+        arr = ArrayGeometry.half_wave(2, 2, WAVELENGTH)
+        cfg = SolverConfig(max_iterations=1, oracle_halfwidth=0.05, oracle_grid=201)
+        feet = kernels.nearest_feet(arr.element_positions, wiggle, 1e-12, 1, 1e-6, 1e-4)
+        assert not feet.converged.any()
+        pd = synthesize(arr, sw, cfg)
+        ref = [oracle_signed_min_distance(sw, p, cfg) for p in arr.element_positions]
+        np.testing.assert_array_equal(pd.signed_distances, ref)
 
 
 class TestExcitation:
