@@ -1,9 +1,24 @@
 """Beam diagnostics: polarization power split, peak-direction estimation,
 transverse profiles and the geometric propagation-range estimate.
 
-Direction estimation scans field magnitude over a dense hemisphere grid
-of directions rather than hill-climbing: conical-wavefront beams carry
-ring sidelobes that trap local searches, and the grids involved are small.
+Direction estimation scans field magnitude over the hemisphere rather
+than hill-climbing, because conical-wavefront beams carry ring sidelobes
+that trap local searches.  The scan works on a one-degree (azimuth,
+elevation) lattice over [-90, 90] on both axes, in three stages:
+
+1. coarse: every third lattice direction on both axes, 61 x 61;
+2. one degree: every lattice direction within three degrees, on both
+   axes, of a coarse direction whose |E| is at least half the coarse
+   maximum, evaluated in one batch;
+3. refine: the 21 x 21 tenth-of-a-degree cell around the stage-2 peak.
+
+Every direction is built from the same degree values by the same
+expressions in every stage, and the field sum is independent per point,
+so a lattice direction gets the same |E| whichever stage evaluates it.
+The estimate therefore equals an exhaustive one-degree scan's whenever the
+exhaustive peak lies among the marked directions.  If |E| were flat every
+coarse cell would be marked: 3,721 + 32,761 + 441 directions in the worst
+case, 1.11 times an exhaustive scan's 33,202.
 """
 
 from __future__ import annotations
@@ -110,6 +125,13 @@ def direction_to_angles(u: np.ndarray) -> tuple[float, float]:
     return azimuth, elevation
 
 
+# the one-degree direction lattice on both axes, and the coarse stage's
+# stride over it and marking threshold
+SCAN_LATTICE_DEG = np.arange(-90.0, 90.0 + 0.5, 1.0)
+COARSE_STRIDE = 3
+MARK_FRACTION = 0.5
+
+
 def _scan_magnitude(
     array: ArrayGeometry,
     exc: Excitation,
@@ -118,16 +140,18 @@ def _scan_magnitude(
     el_deg: np.ndarray,
     backend: str | None,
 ) -> np.ndarray:
-    az = np.radians(az_deg)[:, None]
-    el = np.radians(el_deg)[None, :]
+    """|E| at ``radius`` in the directions (az_deg[n], el_deg[n]), degrees."""
+    az = np.radians(az_deg)
+    el = np.radians(el_deg)
     ce = np.cos(el)
-    pts = np.empty((az.shape[0], el.shape[1], 3))
-    pts[:, :, 0] = -ce * np.sin(az)
-    pts[:, :, 1] = ce * np.cos(az)
-    pts[:, :, 2] = -np.sin(el) * np.ones_like(az)
-    pts = radius * pts.reshape(-1, 3)
+    pts = radius * np.column_stack([-ce * np.sin(az), ce * np.cos(az), -np.sin(el)])
     fg = total_field(array, exc, ObservationGrid.from_points(pts), backend=backend)
-    return fg.magnitude().reshape(len(az_deg), len(el_deg))
+    return fg.magnitude()
+
+
+def _tensor(az_deg: np.ndarray, el_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (az, el) pairs of the tensor grid, row-major with el fastest."""
+    return np.repeat(az_deg, len(el_deg)), np.tile(el_deg, len(az_deg))
 
 
 def estimate_direction(
@@ -138,8 +162,12 @@ def estimate_direction(
 ) -> BeamMetrics:
     """Direction of maximum |E| on a hemisphere of given radius.
 
-    Scans the forward hemisphere at one-degree resolution and refines the
-    winning cell at a tenth of a degree.  The radius must exceed the array's
+    Scans a three-degree coarse lattice, then every one-degree direction
+    within three degrees of a coarse direction holding at least half the
+    coarse peak, and refines the winner at a tenth of a degree (see the
+    module docstring).  Ties go to the first direction in row-major
+    (azimuth, elevation) order.  At most 36,923 directions are evaluated;
+    a focused beam takes about 4,300.  The radius must exceed the array's
     aperture radius by the ten-wavelength element clearance.
     """
     min_radius = array.aperture_radius + 10.0 * array.wavelength
@@ -148,13 +176,23 @@ def estimate_direction(
             f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m "
             "(aperture radius plus ten-wavelength clearance)"
         )
-    coarse = np.arange(-90.0, 90.0 + 0.5, 1.0)
-    mag = _scan_magnitude(array, exc, radius, coarse, coarse, backend)
-    i, j = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    az_fine = np.clip(coarse[i] + np.arange(-10, 11) * 0.1, -90.0, 90.0)
-    el_fine = np.clip(coarse[j] + np.arange(-10, 11) * 0.1, -90.0, 90.0)
-    mag = _scan_magnitude(array, exc, radius, az_fine, el_fine, backend)
-    i, j = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    lattice = SCAN_LATTICE_DEG
+    coarse = lattice[::COARSE_STRIDE]
+    mag = _scan_magnitude(array, exc, radius, *_tensor(coarse, coarse), backend)
+    marked = (mag >= MARK_FRACTION * np.max(mag)).reshape(len(coarse), len(coarse))
+    # near[i, c]: lattice index i lies within one stride of coarse direction c
+    offsets = np.arange(len(lattice))[:, None] - COARSE_STRIDE * np.arange(len(coarse))
+    near = (np.abs(offsets) <= COARSE_STRIDE).astype(np.int64)
+    # np.nonzero lists the marked directions row-major, so argmax keeps the
+    # first maximum in (azimuth, elevation) order
+    ii, jj = np.nonzero(near @ marked.astype(np.int64) @ near.T)
+    mag = _scan_magnitude(array, exc, radius, lattice[ii], lattice[jj], backend)
+    best = int(np.argmax(mag))
+    steps = np.arange(-10, 11) * 0.1
+    az_fine = np.clip(lattice[ii[best]] + steps, -90.0, 90.0)
+    el_fine = np.clip(lattice[jj[best]] + steps, -90.0, 90.0)
+    mag = _scan_magnitude(array, exc, radius, *_tensor(az_fine, el_fine), backend)
+    i, j = np.unravel_index(int(np.argmax(mag)), (len(az_fine), len(el_fine)))
     az = math.radians(float(az_fine[i]))
     el = math.radians(float(el_fine[j]))
     return BeamMetrics(

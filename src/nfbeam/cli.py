@@ -3,13 +3,14 @@ grids, analyze beams, and run the validation suites.
 
 Angles are degrees at this boundary and radians everywhere inside.  All
 lengths in the config are meters except the element spacing, which is in
-wavelengths.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+wavelengths.  Exit codes: 0 success, 2 configuration error, 3 numerical or
+other internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -71,6 +72,20 @@ class SimulationConfig:
     report: str = "report.txt"
 
     def validate(self) -> None:
+        numbers = [
+            ("frequency_hz", self.frequency_hz),
+            ("array.spacing_in_wavelengths", self.spacing_in_wavelengths),
+            ("beam.h_over_r", self.h_over_r),
+            ("steering.azimuth_deg", self.azimuth_deg),
+            ("steering.elevation_deg", self.elevation_deg),
+            ("observation.offset_m", self.obs_offset_m),
+        ]
+        numbers += [("observation.bounds_m", v) for pair in self.obs_bounds for v in pair]
+        if self.analysis_radius_m is not None:
+            numbers.append(("analysis.radius_m", self.analysis_radius_m))
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.frequency_hz <= 0:
             raise ConfigError("frequency_hz must be positive")
         if self.n_x < 1 or self.n_z < 1:
@@ -246,13 +261,22 @@ def observation_grid(cfg: SimulationConfig) -> ObservationGrid:
 
 
 def analysis_radius(scn: Scenario) -> float:
-    """Evaluation radius for direction metrics; halfway into the beam's range."""
+    """Evaluation radius for direction metrics.
+
+    Bessel beams are scanned halfway into the cone's propagation range.
+    Gaussian (plane-wavefront) beams are scanned at the Fraunhofer distance
+    2 D^2 / lambda of the aperture diameter D, where the peak of |E| on the
+    sphere tracks the beam axis.  Either radius is raised to the scan's
+    minimum clearance.
+    """
     cfg = scn.config
     min_radius = scn.array.aperture_radius + 10.0 * scn.array.wavelength
     if cfg.analysis_radius_m is not None:
         return cfg.analysis_radius_m
-    slope = cfg.h_over_r if cfg.beam_kind == "bessel" else 0.2
-    return max(0.5 * analysis.propagation_range(scn.array, slope), min_radius)
+    if cfg.beam_kind == "bessel":
+        return max(0.5 * analysis.propagation_range(scn.array, cfg.h_over_r), min_radius)
+    diameter = 2.0 * scn.array.aperture_radius
+    return max(2.0 * diameter**2 / scn.array.wavelength, min_radius)
 
 
 def _synthesize(scn: Scenario) -> PhaseDistribution:
@@ -475,10 +499,10 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         return handler(cfg)
     except (ConfigError, AngleRangeError, ClearanceViolation, CoincidentPoint,
-            analysis.RadiusOutOfRange, ValueError) as exc:
+            analysis.RadiusOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, SolverFailure, OSError) as exc:
+    except (NonConvergence, SolverFailure, OSError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 3
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nfbeam import cli
 from nfbeam.cli import ConfigError, SimulationConfig, load_config, main
 
 SMALL_CONFIG = """\
@@ -74,6 +75,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="beam.kind"):
             SimulationConfig(beam_kind="airy").validate()
 
+    @pytest.mark.parametrize(
+        "field, updates",
+        [
+            ("frequency_hz", {"frequency_hz": math.nan}),
+            ("array.spacing_in_wavelengths", {"spacing_in_wavelengths": math.inf}),
+            ("beam.h_over_r", {"h_over_r": math.inf}),
+            ("beam.h_over_r", {"h_over_r": math.nan}),
+            ("steering.azimuth_deg", {"azimuth_deg": math.nan}),
+            ("observation.bounds_m", {"obs_bounds": ((-0.1, math.inf), (0.05, 0.5))}),
+            ("observation.offset_m", {"obs_offset_m": -math.inf}),
+            ("analysis.radius_m", {"analysis_radius_m": math.nan}),
+        ],
+    )
+    def test_non_finite_values_named(self, field, updates):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SimulationConfig(**updates).validate()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
@@ -89,6 +107,32 @@ class TestExitCodes:
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [
+            ("--freq-ghz", "nan", "frequency_hz"),
+            ("--h-over-r", "inf", "beam.h_over_r"),
+            ("--h-over-r", "nan", "beam.h_over_r"),
+        ],
+    )
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, option, value, field):
+        path, _ = write_config(tmp_path)
+        assert main(["run", "--config", str(path), option, value]) == 2
+        assert f"config error: {field} must be finite" in capsys.readouterr().err
+
+    def test_internal_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a non-finite field makes the heatmap writer raise ValueError
+        def nan_field(array, exc, grid, backend=None):
+            nan = np.full(grid.num_points, complex(math.nan, 0.0))
+            return cli.FieldGrid(grid=grid, ex=nan, ey=nan, ez=nan)
+
+        monkeypatch.setattr(cli, "total_field", nan_field)
+        path, _ = write_config(tmp_path)
+        assert main(["field", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failure: ")
+        assert "config error" not in err
 
     def test_success_exit_0(self, tmp_path):
         path, out_dir = write_config(tmp_path)
