@@ -22,23 +22,17 @@ from .field import (
     ClearanceViolation,
     CoincidentPoint,
     FieldGrid,
-    FieldMetadata,
     ObservationGrid,
-    element_field,
     export_field_csv,
     frequency_to_wavelength,
-    local_angles,
-    polarization_unit_vector,
     total_field,
     wavenumber,
 )
 from .geometry import (
     AngleRangeError,
     SteeringAngles,
-    from_primed,
     rot_x,
     rot_z,
-    steering_direction,
     steering_rotation,
     to_primed,
 )
@@ -69,7 +63,6 @@ from .wavefront import (
     steer,
     surface_eval,
     surface_gradient,
-    tilted_plane_eval,
 )
 
 __version__ = "0.1.0"

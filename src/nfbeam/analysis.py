@@ -31,7 +31,14 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import find_peaks
 
-from .field import AXIS_INDEX, PLANE_AXES, FieldGrid, ObservationGrid, total_field
+from .field import (
+    AXIS_INDEX,
+    FAR_FIELD_CLEARANCE_WAVELENGTHS,
+    PLANE_AXES,
+    FieldGrid,
+    ObservationGrid,
+    total_field,
+)
 from .synthesis import ArrayGeometry, Excitation
 
 
@@ -62,8 +69,6 @@ class BeamMetrics:
     peak_point: np.ndarray
     estimated_azimuth: float
     estimated_elevation: float
-    first_null_radius: float | None = None
-    propagation_range_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,13 +123,6 @@ def steering_unit_vector(azimuth: float, elevation: float) -> np.ndarray:
     )
 
 
-def direction_to_angles(u: np.ndarray) -> tuple[float, float]:
-    """Invert :func:`steering_unit_vector` for a unit direction."""
-    elevation = math.asin(max(-1.0, min(1.0, -float(u[2]))))
-    azimuth = math.atan2(-float(u[0]), float(u[1]))
-    return azimuth, elevation
-
-
 # the one-degree direction lattice on both axes, and the coarse stage's
 # stride over it and marking threshold
 SCAN_LATTICE_DEG = np.arange(-90.0, 90.0 + 0.5, 1.0)
@@ -138,14 +136,13 @@ def _scan_magnitude(
     radius: float,
     az_deg: np.ndarray,
     el_deg: np.ndarray,
-    backend: str | None,
 ) -> np.ndarray:
     """|E| at ``radius`` in the directions (az_deg[n], el_deg[n]), degrees."""
     az = np.radians(az_deg)
     el = np.radians(el_deg)
     ce = np.cos(el)
     pts = radius * np.column_stack([-ce * np.sin(az), ce * np.cos(az), -np.sin(el)])
-    fg = total_field(array, exc, ObservationGrid.from_points(pts), backend=backend)
+    fg = total_field(array, exc, ObservationGrid.from_points(pts))
     return fg.magnitude()
 
 
@@ -154,12 +151,12 @@ def _tensor(az_deg: np.ndarray, el_deg: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(az_deg, len(el_deg)), np.tile(el_deg, len(az_deg))
 
 
-def estimate_direction(
-    array: ArrayGeometry,
-    exc: Excitation,
-    radius: float,
-    backend: str | None = None,
-) -> BeamMetrics:
+def min_scan_radius(array: ArrayGeometry) -> float:
+    """Smallest scan radius: the aperture radius plus the element clearance."""
+    return array.aperture_radius + FAR_FIELD_CLEARANCE_WAVELENGTHS * array.wavelength
+
+
+def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> BeamMetrics:
     """Direction of maximum |E| on a hemisphere of given radius.
 
     Scans a three-degree coarse lattice, then every one-degree direction
@@ -170,7 +167,7 @@ def estimate_direction(
     a focused beam takes about 4,300.  The radius must exceed the array's
     aperture radius by the ten-wavelength element clearance.
     """
-    min_radius = array.aperture_radius + 10.0 * array.wavelength
+    min_radius = min_scan_radius(array)
     if radius < min_radius:
         raise RadiusOutOfRange(
             f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m "
@@ -178,7 +175,7 @@ def estimate_direction(
         )
     lattice = SCAN_LATTICE_DEG
     coarse = lattice[::COARSE_STRIDE]
-    mag = _scan_magnitude(array, exc, radius, *_tensor(coarse, coarse), backend)
+    mag = _scan_magnitude(array, exc, radius, *_tensor(coarse, coarse))
     marked = (mag >= MARK_FRACTION * np.max(mag)).reshape(len(coarse), len(coarse))
     # near[i, c]: lattice index i lies within one stride of coarse direction c
     offsets = np.arange(len(lattice))[:, None] - COARSE_STRIDE * np.arange(len(coarse))
@@ -186,12 +183,12 @@ def estimate_direction(
     # np.nonzero lists the marked directions row-major, so argmax keeps the
     # first maximum in (azimuth, elevation) order
     ii, jj = np.nonzero(near @ marked.astype(np.int64) @ near.T)
-    mag = _scan_magnitude(array, exc, radius, lattice[ii], lattice[jj], backend)
+    mag = _scan_magnitude(array, exc, radius, lattice[ii], lattice[jj])
     best = int(np.argmax(mag))
     steps = np.arange(-10, 11) * 0.1
     az_fine = np.clip(lattice[ii[best]] + steps, -90.0, 90.0)
     el_fine = np.clip(lattice[jj[best]] + steps, -90.0, 90.0)
-    mag = _scan_magnitude(array, exc, radius, *_tensor(az_fine, el_fine), backend)
+    mag = _scan_magnitude(array, exc, radius, *_tensor(az_fine, el_fine))
     i, j = np.unravel_index(int(np.argmax(mag)), (len(az_fine), len(el_fine)))
     az = math.radians(float(az_fine[i]))
     el = math.radians(float(el_fine[j]))

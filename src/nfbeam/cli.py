@@ -270,7 +270,7 @@ def analysis_radius(scn: Scenario) -> float:
     minimum clearance.
     """
     cfg = scn.config
-    min_radius = scn.array.aperture_radius + 10.0 * scn.array.wavelength
+    min_radius = analysis.min_scan_radius(scn.array)
     if cfg.analysis_radius_m is not None:
         return cfg.analysis_radius_m
     if cfg.beam_kind == "bessel":
@@ -420,12 +420,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
     try:
-        results = run_validation(
-            only=only,
-            seed=args.seed,
-            cases=args.cases,
-            inject_distance_error=args.inject_distance_error,
-        )
+        results = run_validation(only=only, seed=args.seed, cases=args.cases)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -471,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--only", help="comma-separated subset of checks to run")
     v.add_argument("--cases", type=int, default=40, help="solver-oracle random cases")
     v.add_argument("--seed", type=int, default=20240901)
-    v.add_argument(
-        "--inject-distance-error",
-        type=float,
-        default=0.0,
-        help=argparse.SUPPRESS,
-    )
     v.add_argument("--list", action="store_true", help="list available checks")
     return parser
 

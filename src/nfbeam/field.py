@@ -12,13 +12,12 @@ so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .geometry import SteeringAngles
 from .synthesis import ArrayGeometry, Excitation
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -106,13 +105,6 @@ class ObservationGrid:
 
 
 @dataclass(frozen=True)
-class FieldMetadata:
-    frequency_hz: float | None = None
-    angles: SteeringAngles | None = None
-    beam_kind: str | None = None
-
-
-@dataclass(frozen=True)
 class FieldGrid:
     """Complex vector field samples on an observation grid."""
 
@@ -120,56 +112,12 @@ class FieldGrid:
     ex: np.ndarray
     ey: np.ndarray
     ez: np.ndarray
-    metadata: FieldMetadata = field(default_factory=FieldMetadata)
 
     def magnitude(self) -> np.ndarray:
         """Total |E| per point."""
         return np.sqrt(
             np.abs(self.ex) ** 2 + np.abs(self.ey) ** 2 + np.abs(self.ez) ** 2
         )
-
-    def component(self, name: str) -> np.ndarray:
-        return {"x": self.ex, "y": self.ey, "z": self.ez}[name]
-
-
-def local_angles(element_pos: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    """(azimuth, polar) angles of the point as seen from the element.
-
-    Local element axes are parallel to the global ones; the polar angle is
-    measured from +z, azimuth in the xy-plane from +x.  A point on the
-    element's z-axis gets azimuth 0 by convention.
-    """
-    r = np.asarray(p, dtype=float) - np.asarray(element_pos, dtype=float)
-    norm = float(np.linalg.norm(r))
-    if norm == 0.0:
-        raise CoincidentPoint(f"point {p!r} coincides with element {element_pos!r}")
-    theta = math.acos(max(-1.0, min(1.0, r[2] / norm)))
-    phi = math.atan2(r[1], r[0])
-    return phi, theta
-
-
-def polarization_unit_vector(phi_n: float, theta_n: float) -> np.ndarray:
-    """Theta-direction unit polarization of a z-aligned dipole element."""
-    return np.array(
-        [
-            math.cos(phi_n) * math.cos(theta_n),
-            math.sin(phi_n) * math.cos(theta_n),
-            -math.sin(theta_n),
-        ]
-    )
-
-
-def element_field(
-    element_pos: np.ndarray, current: complex, p: np.ndarray, k: float
-) -> np.ndarray:
-    """Complex (Ex, Ey, Ez) contribution of one element at point ``p``."""
-    r = np.asarray(p, dtype=float) - np.asarray(element_pos, dtype=float)
-    norm = float(np.linalg.norm(r))
-    if norm == 0.0:
-        raise CoincidentPoint(f"point {p!r} coincides with element {element_pos!r}")
-    phi, theta = local_angles(element_pos, p)
-    scalar = current * complex(math.cos(k * norm), -math.sin(k * norm)) / norm
-    return scalar * polarization_unit_vector(phi, theta)
 
 
 def min_element_distances(array: ArrayGeometry, points: np.ndarray) -> np.ndarray:
@@ -209,7 +157,6 @@ def total_field(
     array: ArrayGeometry,
     exc: Excitation,
     grid: ObservationGrid,
-    backend: str | None = None,
 ) -> FieldGrid:
     """Superpose all element contributions at every grid point.
 
@@ -223,17 +170,8 @@ def total_field(
         )
     validate_clearance(array, grid)
     k = wavenumber(array.wavelength)
-    ex, ey, ez = kernels.field_sum(
-        array.element_positions, exc.currents, grid.points, k, backend=backend
-    )
-    meta = FieldMetadata(frequency_hz=SPEED_OF_LIGHT / array.wavelength)
-    if exc.source is not None:
-        meta = FieldMetadata(
-            frequency_hz=SPEED_OF_LIGHT / array.wavelength,
-            angles=exc.source.wavefront.angles,
-            beam_kind=exc.source.wavefront.base.kind,
-        )
-    return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez, metadata=meta)
+    ex, ey, ez = kernels.field_sum(array.element_positions, exc.currents, grid.points, k)
+    return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
 
 
 def export_field_csv(fg: FieldGrid, path: str | Path) -> None:

@@ -77,13 +77,3 @@ def steering_rotation(angles: SteeringAngles) -> np.ndarray:
 def to_primed(rotation: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Coordinates of ``point`` expressed in the steered frame."""
     return rotation @ np.asarray(point, dtype=float)
-
-
-def from_primed(rotation: np.ndarray, point_primed: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_primed`; uses the transpose since rotations are orthonormal."""
-    return rotation.T @ np.asarray(point_primed, dtype=float)
-
-
-def steering_direction(angles: SteeringAngles) -> np.ndarray:
-    """Unit vector (original frame) that the primed y-axis points along."""
-    return from_primed(steering_rotation(angles), np.array([0.0, 1.0, 0.0]))

@@ -13,7 +13,7 @@ Two inner loops dominate runtime:
 ``field_sum`` defaults to numba when importable; setting the environment
 variable ``NFBEAM_NO_NUMBA`` to anything other than ``0``/``false`` selects
 the numpy path, and ``backend=`` selects one explicitly (used by the
-equivalence tests and the benchmark).
+equivalence tests).
 
 Per-point accumulation runs in ascending element order on both backends,
 so results are deterministic and rerun-identical.
@@ -59,7 +59,6 @@ class FootBatch(NamedTuple):
     signed_distance: np.ndarray
     foot_x: np.ndarray
     foot_z: np.ndarray
-    t: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
 
@@ -86,7 +85,6 @@ def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
     x = np.array(x0, dtype=float)
     z = np.array(z0, dtype=float)
     dist = np.full(n, np.nan)
-    t = np.full(n, np.nan)
     iters = np.zeros(n, np.int64)
     conv = np.zeros(n, bool)
     act = np.arange(n)
@@ -103,7 +101,6 @@ def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
         done = (np.abs(g1) <= tol) & (np.abs(g2) <= tol)
         hit = act[done]
         dist[hit] = ta[done] * np.sqrt(1.0 + fx[done] * fx[done] + fz[done] * fz[done])
-        t[hit] = ta[done]
         conv[hit] = True
         if step == max_iter:
             break
@@ -122,7 +119,7 @@ def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
         x[act] = xa[go] + dx[go]
         z[act] = za[go] + dz[go]
         iters[act] += 1
-    return FootBatch(dist, x, z, t, iters, conv)
+    return FootBatch(dist, x, z, iters, conv)
 
 
 def nearest_feet(
@@ -164,7 +161,6 @@ def nearest_feet(
             np.sqrt(xe * xe + ye * ye + ze * ze),
             zeros,
             zeros,
-            -ye,
             np.zeros(xe.shape, np.int64),
             np.sqrt(xe * xe + ze * ze) + wavefront.h_over_r * ye <= 0.0,
         ),

@@ -76,7 +76,6 @@ class FootSolution:
     """Converged foot of the perpendicular in the steered frame."""
 
     foot: np.ndarray
-    t: float
     signed_distance: float
     iterations: int
     converged: bool
@@ -108,10 +107,8 @@ def solve_foot(
             f"for element ({pe[0]:.6g}, {pe[1]:.6g}, {pe[2]:.6g})"
         )
     x, z = float(batch.foot_x[0]), float(batch.foot_z[0])
-    y = surface_eval(w.base, x, z)
     return FootSolution(
-        foot=np.array([x, y, z]),
-        t=y - float(pe[1]),
+        foot=np.array([x, surface_eval(w.base, x, z), z]),
         signed_distance=float(batch.signed_distance[0]),
         iterations=int(batch.iterations[0]),
         converged=True,

@@ -86,16 +86,12 @@ class PhaseDistribution:
         """Phases reshaped to (n_x, n_z)."""
         return self.phases.reshape(self.array.n_x, self.array.n_z)
 
-    def distance_grid(self) -> np.ndarray:
-        return self.signed_distances.reshape(self.array.n_x, self.array.n_z)
-
 
 @dataclass(frozen=True)
 class Excitation:
     """Unit-magnitude complex excitation currents, one per element."""
 
     currents: np.ndarray
-    source: PhaseDistribution | None = None
 
 
 def phase_shift(distance, wavelength: float):
@@ -175,7 +171,7 @@ def _fallback_distance(w: SteeredWavefront, pos: np.ndarray, cfg: SolverConfig) 
 
 def to_excitation(pd: PhaseDistribution) -> Excitation:
     """I_n = exp(+j * phase_n); magnitudes are exactly one."""
-    return Excitation(currents=np.exp(1j * pd.phases), source=pd)
+    return Excitation(currents=np.exp(1j * pd.phases))
 
 
 def wrap_phase(pd: PhaseDistribution) -> PhaseDistribution:

@@ -1,9 +1,6 @@
 """On-demand invariant suites behind the ``validate`` CLI subcommand.
 
 Each check returns its worst observed error against a fixed threshold.
-``inject_distance_error`` perturbs the Newton distances before the oracle
-comparison; it exists so the sensitivity of the solver-oracle check can be
-demonstrated (a 1e-6 m perturbation must fail it).
 """
 
 from __future__ import annotations
@@ -86,22 +83,17 @@ def check_plane_closed_form_regression(rng: np.random.Generator) -> CheckResult:
             angles = SteeringAngles.from_degrees(az_deg, el_deg)
             sw = steer(Wavefront.plane(), angles)
             pd = synthesize(array, sw, method="newton")
-            ref = np.array(
-                [
-                    plane_distance_closed_form(angles, p)
-                    for p in array.element_positions
-                ]
-            )
+            ref = plane_distance_closed_form(angles, array.element_positions)
             worst = max(worst, float(np.max(np.abs(pd.signed_distances - ref))))
     return CheckResult("plane_closed_form_regression", worst <= 1e-9, worst, 1e-9)
 
 
 def check_solver_oracle_equivalence(
-    rng: np.random.Generator, cases: int = 40, inject_distance_error: float = 0.0
+    rng: np.random.Generator, cases: int = 40
 ) -> CheckResult:
     # the refined oracle (grid plus golden-section polish) is far tighter
     # than its worst-case cell-diagonal bound, so this check holds the
-    # solver to 1e-7 m; a 1e-6 m injected perturbation must fail it
+    # solver to 1e-7 m; a 1e-6 m error in either distance must fail it
     threshold = 1e-7
     worst = 0.0
     detail = ""
@@ -117,7 +109,7 @@ def check_solver_oracle_equivalence(
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
         hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
         cfg = SolverConfig(oracle_halfwidth=hw)
-        newton = abs(solve_foot(sw, pos, cfg).signed_distance) + inject_distance_error
+        newton = abs(solve_foot(sw, pos, cfg).signed_distance)
         oracle = oracle_min_distance(sw, pos, cfg)
         worst = max(worst, abs(newton - oracle))
     if worst > threshold:
@@ -180,10 +172,7 @@ CHECKS: dict[str, Callable] = {
 
 
 def run_validation(
-    only: list[str] | None = None,
-    seed: int = 20240901,
-    cases: int = 40,
-    inject_distance_error: float = 0.0,
+    only: list[str] | None = None, seed: int = 20240901, cases: int = 40
 ) -> list[CheckResult]:
     """Run the selected checks; raises ValueError on an empty selection."""
     names = list(CHECKS) if only is None else [n for n in only if n in CHECKS]
@@ -197,9 +186,7 @@ def run_validation(
     for name in names:
         rng = np.random.default_rng(seed)
         if name == "solver_oracle_equivalence":
-            results.append(
-                CHECKS[name](rng, cases=cases, inject_distance_error=inject_distance_error)
-            )
+            results.append(CHECKS[name](rng, cases=cases))
         else:
             results.append(CHECKS[name](rng))
     return results

@@ -144,18 +144,6 @@ def surface_hessian(w: Wavefront, x, z):
     return float(fxx), float(fxz), float(fzz)
 
 
-def tilted_plane_eval(angles: SteeringAngles, x, z):
-    """Height of the steered plane wavefront expressed in the original frame.
-
-    y0 = x * tan(az) + z * tan(el) / cos(az); equivalent to rotating the
-    y' = 0 plane back into the original frame.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    val = x * np.tan(angles.azimuth) + z * np.tan(angles.elevation) / np.cos(angles.azimuth)
-    return val if val.ndim else float(val)
-
-
 @dataclass(frozen=True)
 class SteeredWavefront:
     """A canonical wavefront paired with steering angles and the cached rotation."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import cli
+from nfbeam import cli, validation
 from nfbeam.cli import ConfigError, SimulationConfig, load_config, main
 
 SMALL_CONFIG = """\
@@ -121,9 +121,16 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), option, value]) == 2
         assert f"config error: {field} must be finite" in capsys.readouterr().err
 
+    def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        text = path.read_text().replace("n_x: 6", "n_x: 8").replace("n_z: 6", "n_z: 8")
+        path.write_text(text + "analysis:\n  radius_m: 0.01\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error: scan radius" in capsys.readouterr().err
+
     def test_internal_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a non-finite field makes the heatmap writer raise ValueError
-        def nan_field(array, exc, grid, backend=None):
+        def nan_field(array, exc, grid):
             nan = np.full(grid.num_points, complex(math.nan, 0.0))
             return cli.FieldGrid(grid=grid, ex=nan, ey=nan, ez=nan)
 
@@ -237,18 +244,14 @@ class TestValidateCommand:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
-    def test_solver_oracle_with_injected_error_fails(self, capsys):
-        code = main(
-            [
-                "validate",
-                "--only",
-                "solver_oracle_equivalence",
-                "--cases",
-                "3",
-                "--inject-distance-error",
-                "1e-6",
-            ]
-        )
+    def test_solver_oracle_with_injected_error_fails(self, capsys, monkeypatch):
+        oracle = validation.oracle_min_distance
+
+        def off_by_a_micron(*args, **kwargs):
+            return oracle(*args, **kwargs) + 1e-6
+
+        monkeypatch.setattr(validation, "oracle_min_distance", off_by_a_micron)
+        code = main(["validate", "--only", "solver_oracle_equivalence", "--cases", "3"])
         out = capsys.readouterr().out
         assert code == 3
         assert "FAIL solver_oracle_equivalence" in out

@@ -94,7 +94,7 @@ def test_scan_magnitudes_bit_identical_to_tensor_scan():
     array, exc, radius = cli_beam(4, "bessel", 20.0, -10.0)
     lattice = analysis.SCAN_LATTICE_DEG
     flat = analysis._scan_magnitude(
-        array, exc, radius, np.repeat(lattice, len(lattice)), np.tile(lattice, len(lattice)), None
+        array, exc, radius, np.repeat(lattice, len(lattice)), np.tile(lattice, len(lattice))
     )
     assert np.array_equal(flat, _tensor_magnitude(array, exc, radius, lattice, lattice).ravel())
 
@@ -103,14 +103,23 @@ def test_cone_scan_evaluates_few_directions(monkeypatch):
     array, exc, radius = cli_beam(16, "bessel", 20.0, -10.0)
     evaluated = []
 
-    def counting_field(array, exc, grid, backend=None):
+    def counting_field(array, exc, grid):
         evaluated.append(grid.num_points)
-        return total_field(array, exc, grid, backend=backend)
+        return total_field(array, exc, grid)
 
     monkeypatch.setattr(analysis, "total_field", counting_field)
     analysis.estimate_direction(array, exc, radius)
     assert len(evaluated) == 3
     assert sum(evaluated) < 6000
+
+
+def test_steep_cone_scanned_at_min_scan_radius():
+    # half the propagation range of an h/r = 50 cone lies inside the clearance
+    array, exc, radius = cli_beam(8, "bessel", 10.0, -5.0, h_over_r=50.0)
+    assert radius == analysis.min_scan_radius(array)
+    analysis.estimate_direction(array, exc, radius)
+    with pytest.raises(analysis.RadiusOutOfRange):
+        analysis.estimate_direction(array, exc, np.nextafter(radius, 0.0))
 
 
 @pytest.mark.parametrize("az_deg, el_deg", [(20.0, 0.0), (0.0, 20.0), (25.0, -10.0)])

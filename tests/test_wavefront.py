@@ -11,7 +11,6 @@ from nfbeam.wavefront import (
     steer,
     surface_eval,
     surface_gradient,
-    tilted_plane_eval,
 )
 
 
@@ -95,6 +94,18 @@ def test_cone_homogeneity(rng):
         lhs = surface_eval(w, s * x, s * z)
         rhs = s * surface_eval(w, x, z)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def tilted_plane_eval(angles, x, z):
+    """Height of the steered plane wavefront expressed in the original frame.
+
+    y0 = x * tan(az) + z * tan(el) / cos(az); equivalent to rotating the
+    y' = 0 plane back into the original frame.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    val = x * np.tan(angles.azimuth) + z * np.tan(angles.elevation) / np.cos(angles.azimuth)
+    return val if val.ndim else float(val)
 
 
 def test_tilted_plane_zero_angles():
