@@ -110,30 +110,64 @@ class SimulationConfig:
             raise ConfigError("analysis.radius_m must be positive when given")
 
 
-_NESTED_KEYS = {
-    "frequency_hz": ("frequency_hz",),
-    "array": {"n_x": "n_x", "n_z": "n_z", "spacing_in_wavelengths": "spacing_in_wavelengths"},
-    "beam": {"kind": "beam_kind", "h_over_r": "h_over_r"},
-    "steering": {"azimuth_deg": "azimuth_deg", "elevation_deg": "elevation_deg"},
-    "observation": {
-        "plane": "obs_plane",
-        "bounds_m": "obs_bounds",
-        "resolution": "obs_resolution",
-        "offset_m": "obs_offset_m",
-    },
-    "analysis": {"radius_m": "analysis_radius_m"},
-    "outputs": {
-        "out_dir": "out_dir",
-        "phase_csv": "phase_csv",
-        "field_csv": "field_csv",
-        "heatmap": "heatmap_stem",
-        "report": "report",
-    },
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    # YAML 1.1 reads unsigned-exponent literals like 100.0e9 as strings
+    return float(value)
+
+
+def _count(value) -> int:
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(value)
+    return int(number)
+
+
+def _name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise TypeError(value)
+    return value
+
+
+def _optional_number(value) -> float | None:
+    return None if value is None else _number(value)
+
+
+def _pair(parse):
+    def parse_pair(value):
+        first, second = value
+        return parse(first), parse(second)
+
+    return parse_pair
+
+
+# dotted YAML key -> (SimulationConfig field, parser, what the parser accepts)
+_KEYS = {
+    "frequency_hz": ("frequency_hz", _number, "a number"),
+    "array.n_x": ("n_x", _count, "a whole number"),
+    "array.n_z": ("n_z", _count, "a whole number"),
+    "array.spacing_in_wavelengths": ("spacing_in_wavelengths", _number, "a number"),
+    "beam.kind": ("beam_kind", _name, "'gaussian' or 'bessel'"),
+    "beam.h_over_r": ("h_over_r", _number, "a number"),
+    "steering.azimuth_deg": ("azimuth_deg", _number, "a number"),
+    "steering.elevation_deg": ("elevation_deg", _number, "a number"),
+    "observation.plane": ("obs_plane", _name, "one of xy, yz, xz"),
+    "observation.bounds_m": ("obs_bounds", _pair(_pair(_number)), "[[lo1, hi1], [lo2, hi2]]"),
+    "observation.resolution": ("obs_resolution", _pair(_count), "[n1, n2] of whole numbers"),
+    "observation.offset_m": ("obs_offset_m", _number, "a number"),
+    "analysis.radius_m": ("analysis_radius_m", _optional_number, "a number or null"),
+    "outputs.out_dir": ("out_dir", _name, "a non-empty string"),
+    "outputs.phase_csv": ("phase_csv", _name, "a non-empty string"),
+    "outputs.field_csv": ("field_csv", _name, "a non-empty string"),
+    "outputs.heatmap": ("heatmap_stem", _name, "a non-empty string"),
+    "outputs.report": ("report", _name, "a non-empty string"),
 }
+_SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 
 
 def load_config(path: str | Path | None) -> SimulationConfig:
-    """Parse the YAML config document into a :class:`SimulationConfig`."""
+    """Parse the YAML config document; every error names its dotted key."""
     cfg = SimulationConfig()
     if path is None:
         return cfg
@@ -149,59 +183,21 @@ def load_config(path: str | Path | None) -> SimulationConfig:
         raise ConfigError("config document must be a mapping at the top level")
     updates: dict[str, object] = {}
     for key, value in raw.items():
-        schema = _NESTED_KEYS.get(key)
-        if schema is None:
-            raise ConfigError(f"unknown config key: {key}")
-        if isinstance(schema, tuple):
-            updates[schema[0]] = value
-            continue
-        if not isinstance(value, dict):
+        if key not in _SECTIONS:
+            entries = [(key, value)]
+        elif isinstance(value, dict):
+            entries = [(f"{key}.{sub}", subval) for sub, subval in value.items()]
+        else:
             raise ConfigError(f"config key {key} must be a mapping")
-        for sub, subval in value.items():
-            if sub not in schema:
-                raise ConfigError(f"unknown config key: {key}.{sub}")
-            updates[schema[sub]] = subval
-    if "obs_bounds" in updates:
-        b = updates["obs_bounds"]
-        try:
-            (a1, a2), (b1, b2) = b
-            updates["obs_bounds"] = ((float(a1), float(a2)), (float(b1), float(b2)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                "observation.bounds_m must be [[lo1, hi1], [lo2, hi2]]"
-            ) from exc
-    if "obs_resolution" in updates:
-        try:
-            r1, r2 = updates["obs_resolution"]
-            updates["obs_resolution"] = (int(r1), int(r2))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("observation.resolution must be [n1, n2]") from exc
-    # YAML 1.1 reads unsigned-exponent literals like 100.0e9 as strings
-    for name, cast in (
-        ("frequency_hz", float),
-        ("spacing_in_wavelengths", float),
-        ("h_over_r", float),
-        ("azimuth_deg", float),
-        ("elevation_deg", float),
-        ("obs_offset_m", float),
-        ("n_x", int),
-        ("n_z", int),
-    ):
-        if name in updates:
+        for dotted, item in entries:
+            if dotted not in _KEYS:
+                raise ConfigError(f"unknown config key: {dotted}")
+            name, parse, accepts = _KEYS[dotted]
             try:
-                updates[name] = cast(updates[name])
+                updates[name] = parse(item)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name} must be a number") from exc
-    if updates.get("analysis_radius_m") is not None:
-        try:
-            updates["analysis_radius_m"] = float(updates["analysis_radius_m"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("analysis.radius_m must be a number") from exc
-    try:
-        cfg = replace(cfg, **updates)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+                raise ConfigError(f"{dotted} must be {accepts}, got {item!r}") from exc
+    return replace(cfg, **updates)
 
 
 def apply_overrides(cfg: SimulationConfig, args: argparse.Namespace) -> SimulationConfig:

@@ -1,10 +1,10 @@
-"""Hot numeric kernels: the nearest-foot Newton solve and the field sum.
+"""Hot numeric kernels: the nearest-foot solve and the field sum.
 
 Two inner loops dominate runtime:
 
-* ``nearest_feet``: the Newton solve for each element's foot on a canonical
-  surface that has no closed-form distance.  It is one numpy
-  implementation, vectorized over elements, for every surface kind.
+* ``nearest_feet``: each element's foot on a canonical surface.  The cone
+  takes its closed form (:func:`cone_feet`); every other surface takes one
+  numpy Newton solve, vectorized over elements.
 * ``field_sum``: the per-point phasor superposition when mapping the
   vector field.  It has two backends with identical semantics: ``numba``
   (@njit, parallel over points) and ``numpy`` (vectorized, no
@@ -64,9 +64,9 @@ class FootBatch(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# nearest-foot Newton solve
+# nearest-foot solve: closed form for the cone, Newton for the rest
 #
-# Unknowns are the foot coordinates (x, z) on the canonical surface
+# Newton's unknowns are the foot coordinates (x, z) on the canonical surface
 # y = f(x, z); the line parameter t = f(x, z) - y_e is eliminated via the
 # y-component of the normal-line equation, leaving the 2x2 system
 #   g1 = x - x_e + t*df/dx = 0,   g2 = z - z_e + t*df/dz = 0.
@@ -74,23 +74,20 @@ class FootBatch(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
-    """Newton iteration from (x0, z0) for every row; only unsettled rows iterate.
+def _newton(w: Wavefront, xe, ye, ze, tol, max_iter) -> FootBatch:
+    """Newton iteration from below each element; only unsettled rows iterate.
 
     A row settles when its residual drops to ``tol`` (converged), when it
-    runs out of iterations, when its Jacobian turns singular, or when a
-    cone iterate lands on the apex, where the surface has no normal.
+    runs out of iterations, or when its Jacobian turns singular.
     """
     n = xe.shape[0]
-    x = np.array(x0, dtype=float)
-    z = np.array(z0, dtype=float)
+    x = xe.copy()
+    z = ze.copy()
     dist = np.full(n, np.nan)
     iters = np.zeros(n, np.int64)
     conv = np.zeros(n, bool)
     act = np.arange(n)
     for step in range(max_iter + 1):
-        if w.kind == CONE:  # the apex has no gradient: that start ends there
-            act = act[(x[act] != 0.0) | (z[act] != 0.0)]
         if act.size == 0:
             break
         xa, za = x[act], z[act]
@@ -122,56 +119,47 @@ def _newton(w: Wavefront, xe, ye, ze, x0, z0, tol, max_iter) -> FootBatch:
     return FootBatch(dist, x, z, iters, conv)
 
 
+def cone_feet(h_over_r: float, elem_primed):
+    """Signed distance and foot (x, z) on the canonical cone, in closed form.
+
+    The cone is axisymmetric, so the problem collapses to the distance from
+    (rho, y) to the ray y = (h/r) * rho, rho >= 0, in the element's meridian
+    half-plane, with the apex taken as the nearest point when the
+    perpendicular foot would fall at rho < 0.  An element on the axis takes
+    its foot on the +x meridian.  ``elem_primed`` is (..., 3); each result
+    has its leading shape.
+    """
+    m = float(h_over_r)
+    p = np.asarray(elem_primed, dtype=float)
+    y = p[..., 1]
+    rho = np.hypot(p[..., 0], p[..., 2])
+    foot_rho = (rho + m * y) / (1.0 + m * m)
+    apex = foot_rho < 0.0
+    d = np.where(apex, np.sqrt(rho * rho + y * y), (m * rho - y) / np.sqrt(1.0 + m * m))
+    foot_rho = np.where(apex, 0.0, foot_rho)
+    off_axis = rho > 0.0
+    scale = foot_rho / np.where(off_axis, rho, 1.0)
+    return d, np.where(off_axis, p[..., 0] * scale, foot_rho), p[..., 2] * scale
+
+
 def nearest_feet(
-    elem_primed: np.ndarray,
-    wavefront: Wavefront,
-    tol: float,
-    max_iter: int,
-    apex_guard: float,
-    apex_perturb: float,
+    elem_primed: np.ndarray, wavefront: Wavefront, tol: float, max_iter: int
 ) -> FootBatch:
     """Nearest foot on the canonical ``wavefront`` for each steered-frame element.
 
-    ``elem_primed`` is (M, 3).  Newton starts below the element.  On the
-    cone, starts within ``apex_guard`` of the axis are pushed out radially
-    by ``apex_perturb``, a second start mirrors the first through the axis,
-    and the apex itself is a candidate when the perpendicular foot would
-    fall at negative radius; the nearest converged candidate wins.  Rows
-    with no candidate come back with ``converged=False`` and NaN distance;
-    the caller decides how to fall back.
+    ``elem_primed`` is (M, 3).  The cone takes its closed form
+    (:func:`cone_feet`, zero iterations); every other surface runs Newton
+    from directly below the element.  Rows that do not converge come back
+    with ``converged=False`` and NaN distance; the caller decides how to
+    fall back.
     """
     pe = np.ascontiguousarray(elem_primed, dtype=np.float64)
     if pe.ndim != 2 or pe.shape[1] != 3:
         raise ValueError(f"elem_primed must have shape (M, 3), got {pe.shape}")
-    xe, ye, ze = pe[:, 0], pe[:, 1], pe[:, 2]
-    if wavefront.kind != CONE:
-        return _newton(wavefront, xe, ye, ze, xe, ze, tol, max_iter)
-
-    x0, z0 = xe.copy(), ze.copy()
-    rho0 = np.sqrt(x0 * x0 + z0 * z0)
-    near = (rho0 < apex_guard) & (rho0 > 0.0)
-    x0[near] += apex_perturb * x0[near] / rho0[near]
-    z0[near] += apex_perturb * z0[near] / rho0[near]
-    x0[rho0 == 0.0] = apex_perturb
-    zeros = np.zeros_like(xe)
-    candidates = [
-        _newton(wavefront, xe, ye, ze, x0, z0, tol, max_iter),
-        _newton(wavefront, xe, ye, ze, -x0, -z0, tol, max_iter),
-        FootBatch(
-            np.sqrt(xe * xe + ye * ye + ze * ze),
-            zeros,
-            zeros,
-            np.zeros(xe.shape, np.int64),
-            np.sqrt(xe * xe + ze * ze) + wavefront.h_over_r * ye <= 0.0,
-        ),
-    ]
-    stacked = FootBatch(*(np.stack(column) for column in zip(*candidates)))
-    # an unconverged candidate scores inf; if none converged, the first start
-    # (NaN distance) is kept
-    score = np.where(stacked.converged, np.abs(stacked.signed_distance), np.inf)
-    rows = (np.argmin(score, axis=0), np.arange(xe.shape[0]))
-    best = FootBatch(*(column[rows] for column in stacked))
-    return best._replace(iterations=stacked.iterations.sum(axis=0))
+    if wavefront.kind == CONE:
+        d, x, z = cone_feet(wavefront.h_over_r, pe)
+        return FootBatch(d, x, z, np.zeros(d.shape, np.int64), np.isfinite(d))
+    return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2], tol, max_iter)
 
 
 def _field_sum_numpy(pos, cur, pts, k, chunk=16384):

@@ -3,9 +3,10 @@
 The element is mapped into the steered frame, where the wavefront is its
 canonical surface y = f(x, z).  The plane and the cone have closed-form
 distances (:func:`plane_distance_closed_form`,
-:func:`cone_distance_closed_form`); for any surface the foot of the
-perpendicular is found by Newton iteration (:func:`kernels.nearest_feet`)
-on the two-variable system obtained by eliminating the line parameter t:
+:func:`cone_distance_closed_form`); :func:`kernels.nearest_feet` returns
+the cone's closed form and finds the foot of the perpendicular on any other
+surface by Newton iteration on the two-variable system obtained by
+eliminating the line parameter t:
 
     g1(x, z) = x - x_e + t * df/dx = 0
     g2(x, z) = z - z_e + t * df/dz = 0      with  t = f(x, z) - y_e.
@@ -47,16 +48,13 @@ class SolverConfig:
 
     ``oracle_halfwidth`` defaults to four times the element's distance from
     the steered-frame origin (callers that know the array pass four times
-    the aperture instead); ``apex_guard``/``apex_perturb`` keep cone Newton
-    starts off the non-differentiable axis.
+    the aperture instead).
     """
 
     max_iterations: int = 50
     residual_tol: float = 1e-12
     oracle_grid: int = 2001
     oracle_halfwidth: float | None = None
-    apex_guard: float | None = None
-    apex_perturb: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
@@ -65,10 +63,8 @@ class SolverConfig:
             raise ValueError("residual_tol must be positive")
         if self.oracle_grid < 3:
             raise ValueError("oracle_grid must be at least 3")
-        for name in ("oracle_halfwidth", "apex_guard", "apex_perturb"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.oracle_halfwidth is not None and self.oracle_halfwidth <= 0:
+            raise ValueError("oracle_halfwidth must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -86,24 +82,17 @@ def solve_foot(
 ) -> FootSolution:
     """Nearest point on the steered wavefront from an element in the array plane.
 
-    A one-row call to :func:`kernels.nearest_feet`.  Raises
-    :class:`NonConvergence` when no Newton start converges (callers fall
+    A one-row call to :func:`kernels.nearest_feet`: the closed form for a
+    cone (no Newton start), Newton for any other surface.  Raises
+    :class:`NonConvergence` when Newton does not converge (callers fall
     back to :func:`oracle_min_distance`).
     """
     cfg = cfg or SolverConfig()
     pe = to_primed(w.rotation, element_pos)
-    guard = cfg.apex_guard if cfg.apex_guard is not None else 1e-12
-    perturb = (
-        cfg.apex_perturb
-        if cfg.apex_perturb is not None
-        else max(1e-6, 1e-3 * float(np.linalg.norm(pe)))
-    )
-    batch = kernels.nearest_feet(
-        pe[None, :], w.base, cfg.residual_tol, cfg.max_iterations, guard, perturb
-    )
+    batch = kernels.nearest_feet(pe[None, :], w.base, cfg.residual_tol, cfg.max_iterations)
     if not batch.converged[0]:
         raise NonConvergence(
-            f"no Newton start converged within {cfg.max_iterations} iterations "
+            f"Newton did not converge within {cfg.max_iterations} iterations "
             f"for element ({pe[0]:.6g}, {pe[1]:.6g}, {pe[2]:.6g})"
         )
     x, z = float(batch.foot_x[0]), float(batch.foot_z[0])
@@ -214,20 +203,11 @@ def plane_distance_closed_form(angles: SteeringAngles, element_pos: np.ndarray):
 def cone_distance_closed_form(h_over_r: float, element_primed: np.ndarray):
     """Signed distance to the canonical cone via the meridian-plane reduction.
 
-    The cone is axisymmetric, so the problem collapses to the distance from
-    (rho, y) to the ray y = (h/r) * rho, rho >= 0, with the apex taken as
-    the nearest point when the perpendicular foot would fall at rho < 0.
-    Sign matches :func:`solve_foot` (positive below the surface).
-    ``element_primed`` is one (3,) position (float result) or an (M, 3) stack.
+    The distance part of :func:`kernels.cone_feet`.  Sign matches
+    :func:`solve_foot` (positive below the surface).  ``element_primed`` is
+    one (3,) position (float result) or an (M, 3) stack.
     """
-    m = float(h_over_r)
-    p = np.asarray(element_primed, dtype=float)
-    y = p[..., 1]
-    rho = np.hypot(p[..., 0], p[..., 2])
-    foot_rho = (rho + m * y) / (1.0 + m * m)
-    d = np.where(
-        foot_rho < 0.0, np.sqrt(rho * rho + y * y), (m * rho - y) / math.sqrt(1.0 + m * m)
-    )
+    d, _, _ = kernels.cone_feet(h_over_r, element_primed)
     return d if d.ndim else float(d)
 
 

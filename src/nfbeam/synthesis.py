@@ -111,29 +111,27 @@ def synthesize(
 
     ``method='auto'`` uses the closed forms for plane and cone wavefronts
     and one batch Newton solve (:func:`kernels.nearest_feet`) for custom
-    surfaces; ``method='newton'`` forces the Newton solve for every beam
-    kind.  Elements whose Newton starts all fail fall back to the
-    brute-force oracle; only if that also fails does :class:`SolverFailure`
-    propagate.
+    surfaces; ``method='newton'`` forces the Newton solve for the plane
+    too, while a cone always takes its closed form.  Elements where Newton
+    fails fall back to the brute-force oracle; only if that also fails does
+    :class:`SolverFailure` propagate.
     """
     if method not in ("auto", "newton"):
         raise ValueError(f"method must be 'auto' or 'newton', got {method!r}")
-    cfg = _with_array_defaults(cfg or SolverConfig(), array)
+    cfg = cfg or SolverConfig()
+    if cfg.oracle_halfwidth is None:
+        sx, sz = array.aperture_sides
+        cfg = replace(cfg, oracle_halfwidth=4.0 * max(sx, sz))
     pos = array.element_positions
     kind = w.base.kind
 
     if method == "auto" and kind == PLANE:
         dist = plane_distance_closed_form(w.angles, pos)
-    elif method == "auto" and kind == CONE:
+    elif kind == CONE:
         dist = cone_distance_closed_form(w.base.h_over_r, pos @ w.rotation.T)
     else:
         batch = kernels.nearest_feet(
-            pos @ w.rotation.T,
-            w.base,
-            cfg.residual_tol,
-            cfg.max_iterations,
-            cfg.apex_guard,
-            cfg.apex_perturb,
+            pos @ w.rotation.T, w.base, cfg.residual_tol, cfg.max_iterations
         )
         dist = batch.signed_distance
         for n in np.flatnonzero(~batch.converged):
@@ -145,21 +143,6 @@ def synthesize(
     return PhaseDistribution(
         array=array, wavefront=w, signed_distances=dist, phases=phases
     )
-
-
-def _with_array_defaults(cfg: SolverConfig, array: ArrayGeometry) -> SolverConfig:
-    """Fill search-box and apex-guard defaults from the array's footprint."""
-    sx, sz = array.aperture_sides
-    updates = {}
-    if cfg.oracle_halfwidth is None:
-        updates["oracle_halfwidth"] = 4.0 * max(sx, sz)
-    if cfg.apex_guard is None:
-        updates["apex_guard"] = 1e-3 * 2.0 * array.aperture_radius
-    if cfg.apex_perturb is None:
-        updates["apex_perturb"] = array.spacing
-    if not updates:
-        return cfg
-    return replace(cfg, **updates)
 
 
 def _fallback_distance(w: SteeredWavefront, pos: np.ndarray, cfg: SolverConfig) -> float:

@@ -109,11 +109,11 @@ def check_solver_oracle_equivalence(
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
         hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
         cfg = SolverConfig(oracle_halfwidth=hw)
-        newton = abs(solve_foot(sw, pos, cfg).signed_distance)
+        solved = abs(solve_foot(sw, pos, cfg).signed_distance)
         oracle = oracle_min_distance(sw, pos, cfg)
-        worst = max(worst, abs(newton - oracle))
+        worst = max(worst, abs(solved - oracle))
     if worst > threshold:
-        detail = "Newton distances disagree with the brute-force minimization"
+        detail = "solve_foot distances disagree with the brute-force minimization"
     return CheckResult(
         "solver_oracle_equivalence", worst <= threshold, worst, threshold, detail
     )

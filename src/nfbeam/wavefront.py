@@ -113,23 +113,15 @@ def surface_gradient(w: Wavefront, x, z):
 def surface_hessian(w: Wavefront, x, z):
     """(d2f/dx2, d2f/dxdz, d2f/dz2) of the canonical surface.
 
-    Zero for the plane and analytic for the cone, whose curvature is
-    undefined at the apex (:class:`ApexSingularity`).  Custom surfaces use
-    central differences of :func:`surface_gradient` with step
-    1e-6 * max(1, ||(x, z)||).
+    Zero for the plane; any other surface uses central differences of
+    :func:`surface_gradient` with step 1e-6 * max(1, ||(x, z)||).  Only
+    Newton on surfaces without a closed-form distance needs it.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if w.kind == PLANE:
         zero = np.zeros(np.broadcast(x, z).shape)
         fxx, fxz, fzz = zero, zero, zero
-    elif w.kind == CONE:
-        rho = np.sqrt(x * x + z * z)
-        if np.any(rho == 0.0):
-            raise ApexSingularity("cone curvature is undefined at the apex (0, 0)")
-        r3 = rho * rho * rho
-        m = w.h_over_r
-        fxx, fxz, fzz = m * z * z / r3, -m * x * z / r3, m * x * x / r3
     else:
         h = 1e-6 * np.maximum(1.0, np.sqrt(x * x + z * z))
         gxp, gzp = surface_gradient(w, x + h, z)

@@ -121,6 +121,28 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), option, value]) == 2
         assert f"config error: {field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("n_x: 6\n", "n_x: 6.7\n", "array.n_x"),
+            ("n_x: 6\n", "n_x: true\n", "array.n_x"),
+            ("n_x: 6\n", "n_x: abc\n", "array.n_x"),
+            ("resolution: [9, 7]", "resolution: [9.9, 7]", "observation.resolution"),
+            ("out_dir: {out_dir}", "out_dir: 5", "outputs.out_dir"),
+            ("outputs:\n", "outputs:\n  phase_csv: null\n", "outputs.phase_csv"),
+        ],
+        ids=["fractional", "boolean", "text", "fractional-resolution", "int-out-dir", "null-name"],
+    )
+    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, old, new, key):
+        path, out_dir = write_config(tmp_path)
+        text = path.read_text()
+        old = old.format(out_dir=out_dir)
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         text = path.read_text().replace("n_x: 6", "n_x: 8").replace("n_z: 6", "n_z: 8")

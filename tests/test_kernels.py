@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from nfbeam import kernels
+from nfbeam.field import frequency_to_wavelength
+from nfbeam.geometry import SteeringAngles, steering_rotation
 from nfbeam.solver import cone_distance_closed_form
+from nfbeam.synthesis import ArrayGeometry
 from nfbeam.wavefront import Wavefront
 
 needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
@@ -48,14 +51,14 @@ class TestBackendSelection:
 class TestNearestFeet:
     def test_cone_matches_meridian_closed_form(self, rng):
         pe = random_primed_elements(rng)
-        out = kernels.nearest_feet(pe, Wavefront.cone(0.3), 1e-12, 50, 1e-6, 1e-4)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.3), 1e-12, 50)
         assert out.converged.all()
         ref = np.array([cone_distance_closed_form(0.3, p) for p in pe])
         np.testing.assert_allclose(out.signed_distance, ref, atol=1e-12)
 
     def test_plane_kind(self, rng):
         pe = random_primed_elements(rng, n=64)
-        out = kernels.nearest_feet(pe, Wavefront.plane(), 1e-12, 50, 1e-6, 1e-4)
+        out = kernels.nearest_feet(pe, Wavefront.plane(), 1e-12, 50)
         assert out.converged.all()
         np.testing.assert_array_equal(out.signed_distance, -pe[:, 1])
         np.testing.assert_array_equal(out.foot_x, pe[:, 0])
@@ -64,13 +67,38 @@ class TestNearestFeet:
     def test_apex_elements(self):
         # apex directly above/below the element projection, including the apex itself
         pe = np.array([[0.0, 0.0, 0.0], [0.0, -0.05, 0.0], [0.0, 0.05, 0.0]])
-        out = kernels.nearest_feet(pe, Wavefront.cone(0.2), 1e-12, 50, 1e-6, 1e-4)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.2), 1e-12, 50)
         assert out.converged.all()
         assert out.signed_distance[0] == 0.0
         assert out.signed_distance[1] == pytest.approx(0.05, abs=1e-12)
         # point on the cone axis above the apex: inside, so negative distance
         ref = cone_distance_closed_form(0.2, pe[2])
         assert out.signed_distance[2] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("analytic_gradient", [True, False])
+    @pytest.mark.parametrize("az_deg, el_deg", [(0.0, 0.0), (20.0, -10.0), (35.0, 35.0)])
+    def test_newton_on_spherical_cap(self, az_deg, el_deg, analytic_gradient):
+        # cap y = R - sqrt(R^2 - x^2 - z^2) of the sphere centred at (0, R, 0):
+        # the exact signed distance is ||p' - c|| - R
+        radius = 0.05
+
+        def cap(x, z):
+            return radius - np.sqrt(radius * radius - x * x - z * z)
+
+        def gradient(x, z):
+            s = np.sqrt(radius * radius - x * x - z * z)
+            return x / s, z / s
+
+        w = Wavefront.custom(cap, gradient if analytic_gradient else None)
+        arr = ArrayGeometry.half_wave(12, 12, frequency_to_wavelength(100e9))
+        rotation = steering_rotation(SteeringAngles.from_degrees(az_deg, el_deg))
+        pe = arr.element_positions @ rotation.T
+        out = kernels.nearest_feet(pe, w, 1e-12, 50)
+        assert out.converged.all()
+        # quadratic convergence; a wrong curvature term takes 4 to 13 iterations
+        assert out.iterations.max() <= 3
+        exact = np.linalg.norm(pe - [0.0, radius, 0.0], axis=1) - radius
+        np.testing.assert_allclose(out.signed_distance, exact, rtol=0.0, atol=1e-12)
 
 
 @needs_numba

@@ -193,7 +193,7 @@ class TestSynthesize:
         sw = steer(wiggle, SteeringAngles(0.0, 0.0))
         arr = ArrayGeometry.half_wave(2, 2, WAVELENGTH)
         cfg = SolverConfig(max_iterations=1, oracle_halfwidth=0.05, oracle_grid=201)
-        feet = kernels.nearest_feet(arr.element_positions, wiggle, 1e-12, 1, 1e-6, 1e-4)
+        feet = kernels.nearest_feet(arr.element_positions, wiggle, 1e-12, 1)
         assert not feet.converged.any()
         pd = synthesize(arr, sw, cfg)
         ref = [oracle_signed_min_distance(sw, p, cfg) for p in arr.element_positions]
