@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import find_peaks
 
 from .field import (
     AXIS_INDEX,
@@ -164,14 +162,14 @@ def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> 
     coarse peak, and refines the winner at a tenth of a degree (see the
     module docstring).  Ties go to the first direction in row-major
     (azimuth, elevation) order.  At most 36,923 directions are evaluated;
-    a focused beam takes about 4,300.  The radius must exceed the array's
-    aperture radius by the ten-wavelength element clearance.
+    a focused beam takes about 4,300.  The radius must be at least
+    :func:`min_scan_radius`.
     """
     min_radius = min_scan_radius(array)
     if radius < min_radius:
         raise RadiusOutOfRange(
-            f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m "
-            "(aperture radius plus ten-wavelength clearance)"
+            f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m (aperture "
+            f"radius plus {FAR_FIELD_CLEARANCE_WAVELENGTHS:g}-wavelength clearance)"
         )
     lattice = SCAN_LATTICE_DEG
     coarse = lattice[::COARSE_STRIDE]
@@ -209,6 +207,10 @@ def transverse_profile(
     is the first strict local minimum at positive offset whose prominence
     exceeds 5% of the main-lobe peak.
     """
+    # imported here: scipy is only needed for profiles, not on CLI start-up
+    from scipy.interpolate import RegularGridInterpolator
+    from scipy.signal import find_peaks
+
     grid = fg.grid
     if grid.plane is None or grid.shape is None:
         raise LineOutsideGrid("transverse profiles require a plane grid")

@@ -104,6 +104,8 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must lie strictly inside (-90, 90)")
         if self.obs_plane not in ("xy", "yz", "xz"):
             raise ConfigError("observation.plane must be one of xy, yz, xz")
+        if not all(lo < hi for lo, hi in self.obs_bounds):
+            raise ConfigError("observation.bounds_m must have lo < hi on both axes")
         if min(self.obs_resolution) < 2:
             raise ConfigError("observation.resolution must be at least 2 per axis")
         if self.analysis_radius_m is not None and self.analysis_radius_m <= 0:

@@ -149,7 +149,8 @@ def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
             )
         raise ClearanceViolation(
             f"grid point {idx} at {grid.points[idx]} is {dists[idx]:.6g} m from the "
-            f"nearest element; minimum clearance is {limit:.6g} m (10 wavelengths)"
+            f"nearest element; minimum clearance is {limit:.6g} m "
+            f"({FAR_FIELD_CLEARANCE_WAVELENGTHS:g} wavelengths)"
         )
 
 

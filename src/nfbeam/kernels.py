@@ -8,12 +8,10 @@ Two inner loops dominate runtime:
 * ``field_sum``: the per-point phasor superposition when mapping the
   vector field.  It has two backends with identical semantics: ``numba``
   (@njit, parallel over points) and ``numpy`` (vectorized, no
-  compilation required).
+  compilation required, and the reference for the numba kernel).
 
-``field_sum`` defaults to numba when importable; setting the environment
-variable ``NFBEAM_NO_NUMBA`` to anything other than ``0``/``false`` selects
-the numpy path, and ``backend=`` selects one explicitly (used by the
-equivalence tests).
+``field_sum`` runs numba whenever numba imports and numpy otherwise;
+:func:`resolve_backend` reports which.
 
 Per-point accumulation runs in ascending element order on both backends,
 so results are deterministic and rerun-identical.
@@ -21,7 +19,6 @@ so results are deterministic and rerun-identical.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -35,22 +32,10 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba installed
     HAVE_NUMBA = False
 
-_ENV_FLAG = "NFBEAM_NO_NUMBA"
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("", "0", "false")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the ``field_sum`` backend: explicit argument > env flag > availability."""
-    if backend is None:
-        return "numpy" if (not HAVE_NUMBA or numba_disabled_by_env()) else "numba"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return backend
+def resolve_backend() -> str:
+    """The ``field_sum`` backend: ``"numba"`` when numba imports, else ``"numpy"``."""
+    return "numba" if HAVE_NUMBA else "numpy"
 
 
 class FootBatch(NamedTuple):
@@ -246,7 +231,6 @@ def field_sum(
     currents: np.ndarray,
     points: np.ndarray,
     k: float,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Superpose per-element spherical-wave contributions at each point.
 
@@ -263,6 +247,6 @@ def field_sum(
         raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
     if cur.shape != (pos.shape[0],):
         raise ValueError("currents must have one entry per element")
-    if resolve_backend(backend) == "numba":
+    if HAVE_NUMBA:
         return _field_sum_nb(pos, cur, pts, float(k))
     return _field_sum_numpy(pos, cur, pts, float(k))

@@ -102,22 +102,15 @@ def phase_shift(distance, wavelength: float):
 
 
 def synthesize(
-    array: ArrayGeometry,
-    w: SteeredWavefront,
-    cfg: SolverConfig | None = None,
-    method: str = "auto",
+    array: ArrayGeometry, w: SteeredWavefront, cfg: SolverConfig | None = None
 ) -> PhaseDistribution:
     """Solve every element's distance to the steered wavefront and phase it.
 
-    ``method='auto'`` uses the closed forms for plane and cone wavefronts
-    and one batch Newton solve (:func:`kernels.nearest_feet`) for custom
-    surfaces; ``method='newton'`` forces the Newton solve for the plane
-    too, while a cone always takes its closed form.  Elements where Newton
-    fails fall back to the brute-force oracle; only if that also fails does
-    :class:`SolverFailure` propagate.
+    Plane and cone wavefronts take their closed forms; custom surfaces take
+    one batch Newton solve (:func:`kernels.nearest_feet`).  Elements where
+    Newton fails fall back to the brute-force oracle; only if that also
+    fails does :class:`SolverFailure` propagate.
     """
-    if method not in ("auto", "newton"):
-        raise ValueError(f"method must be 'auto' or 'newton', got {method!r}")
     cfg = cfg or SolverConfig()
     if cfg.oracle_halfwidth is None:
         sx, sz = array.aperture_sides
@@ -125,7 +118,7 @@ def synthesize(
     pos = array.element_positions
     kind = w.base.kind
 
-    if method == "auto" and kind == PLANE:
+    if kind == PLANE:
         dist = plane_distance_closed_form(w.angles, pos)
     elif kind == CONE:
         dist = cone_distance_closed_form(w.base.h_over_r, pos @ w.rotation.T)
@@ -135,7 +128,7 @@ def synthesize(
         )
         dist = batch.signed_distance
         for n in np.flatnonzero(~batch.converged):
-            dist[n] = _fallback_distance(w, pos[n], cfg)
+            dist[n] = oracle_signed_min_distance(w, pos[n], cfg)
 
     if not np.all(np.isfinite(dist)):
         raise SolverFailure("non-finite distance after Newton and oracle fallback")
@@ -143,13 +136,6 @@ def synthesize(
     return PhaseDistribution(
         array=array, wavefront=w, signed_distances=dist, phases=phases
     )
-
-
-def _fallback_distance(w: SteeredWavefront, pos: np.ndarray, cfg: SolverConfig) -> float:
-    d = oracle_signed_min_distance(w, pos, cfg)
-    if not math.isfinite(d):
-        raise SolverFailure(f"oracle produced non-finite distance for element {pos}")
-    return d
 
 
 def to_excitation(pd: PhaseDistribution) -> Excitation:

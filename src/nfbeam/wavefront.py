@@ -64,6 +64,11 @@ class Wavefront:
         return cls(kind=CUSTOM, surface=surface, gradient=gradient)
 
 
+def _fd_step(x, z):
+    """Central-difference step 1e-6 * max(1, ||(x, z)||)."""
+    return 1e-6 * np.maximum(1.0, np.sqrt(x * x + z * z))
+
+
 def surface_eval(w: Wavefront, x, z):
     """Surface height f(x, z) of the canonical wavefront."""
     x = np.asarray(x, dtype=float)
@@ -84,7 +89,7 @@ def surface_gradient(w: Wavefront, x, z):
     The cone is non-differentiable at its apex; requesting the gradient
     there raises :class:`ApexSingularity`.  Custom surfaces without an
     analytic gradient fall back to central finite differences with step
-    1e-6 * max(1, ||(x, z)||).
+    :func:`_fd_step`.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -101,7 +106,7 @@ def surface_gradient(w: Wavefront, x, z):
         gx, gz = w.gradient(x, z)
         gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
     else:
-        h = 1e-6 * np.maximum(1.0, np.sqrt(x * x + z * z))
+        h = _fd_step(x, z)
         gx = (w.surface(x + h, z) - w.surface(x - h, z)) / (2.0 * h)
         gz = (w.surface(x, z + h) - w.surface(x, z - h)) / (2.0 * h)
         gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
@@ -114,7 +119,7 @@ def surface_hessian(w: Wavefront, x, z):
     """(d2f/dx2, d2f/dxdz, d2f/dz2) of the canonical surface.
 
     Zero for the plane; any other surface uses central differences of
-    :func:`surface_gradient` with step 1e-6 * max(1, ||(x, z)||).  Only
+    :func:`surface_gradient` with step :func:`_fd_step`.  Only
     Newton on surfaces without a closed-form distance needs it.
     """
     x = np.asarray(x, dtype=float)
@@ -123,7 +128,7 @@ def surface_hessian(w: Wavefront, x, z):
         zero = np.zeros(np.broadcast(x, z).shape)
         fxx, fxz, fzz = zero, zero, zero
     else:
-        h = 1e-6 * np.maximum(1.0, np.sqrt(x * x + z * z))
+        h = _fd_step(x, z)
         gxp, gzp = surface_gradient(w, x + h, z)
         gxm, gzm = surface_gradient(w, x - h, z)
         _, gzp2 = surface_gradient(w, x, z + h)

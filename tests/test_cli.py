@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +145,19 @@ class TestExitCodes:
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "bounds",
+        ["[[0.02, 0.02], [0.05, 0.1]]", "[[0.02, -0.02], [0.1, 0.05]]"],
+        ids=["equal", "reversed"],
+    )
+    def test_degenerate_bounds_exit_2(self, tmp_path, capsys, bounds):
+        path, out_dir = write_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace("[[-0.02, 0.02], [0.05, 0.1]]", bounds))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error: observation.bounds_m" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         text = path.read_text().replace("n_x: 6", "n_x: 8").replace("n_z: 6", "n_z: 8")
@@ -169,6 +184,13 @@ class TestExitCodes:
         assert (out_dir / "phase.csv").exists()
         assert (out_dir / "phase_wrapped.pgm").exists()
         assert (out_dir / "phase_wrapped.pgm.txt").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has imported scipy through other tests
+    code = "import sys, nfbeam.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSynthesizeCommand:
