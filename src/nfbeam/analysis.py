@@ -56,10 +56,8 @@ class LineOutsideGrid(ValueError):
 class PolarizationReport:
     """Power split between the three field components over a grid."""
 
-    powers: tuple[float, float, float]
     fractions: tuple[float, float, float]
     peak_cross_pol_ratio: float
-    num_points: int
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,12 @@ class TransverseProfile:
 
 
 def polarization_report(fg: FieldGrid) -> PolarizationReport:
-    """Component powers, fractions, and the worst cross-polarization ratio.
+    """Component power fractions and the worst cross-polarization ratio.
 
     Points with |Ez| below 1e-15 are excluded from the peak ratio (the ratio
     is NaN when every point is excluded).
     """
-    n = fg.grid.num_points
-    if n == 0:
+    if fg.grid.num_points == 0:
         raise EmptyGrid("polarization report requested on an empty grid")
     px = float(np.sum(np.abs(fg.ex) ** 2))
     py = float(np.sum(np.abs(fg.ey) ** 2))
@@ -105,12 +102,7 @@ def polarization_report(fg: FieldGrid) -> PolarizationReport:
         peak = float(np.max(cross))
     else:
         peak = float("nan")
-    return PolarizationReport(
-        powers=(px, py, pz),
-        fractions=fractions,
-        peak_cross_pol_ratio=peak,
-        num_points=n,
-    )
+    return PolarizationReport(fractions=fractions, peak_cross_pol_ratio=peak)
 
 
 def steering_unit_vector(azimuth: float, elevation: float) -> np.ndarray:

@@ -21,6 +21,7 @@ import yaml
 
 from . import analysis, heatmap
 from .field import (
+    PLANE_AXES,
     ClearanceViolation,
     CoincidentPoint,
     FieldGrid,
@@ -39,8 +40,8 @@ from .synthesis import (
     to_excitation,
     wrap_phase,
 )
-from .validation import CHECKS, run_validation
-from .wavefront import Wavefront, steer
+from .validation import CHECKS, SelectionError, run_validation
+from .wavefront import CONE, Wavefront, steer
 
 
 class ConfigError(ValueError):
@@ -72,44 +73,19 @@ class SimulationConfig:
     report: str = "report.txt"
 
     def validate(self) -> None:
-        numbers = [
-            ("frequency_hz", self.frequency_hz),
-            ("array.spacing_in_wavelengths", self.spacing_in_wavelengths),
-            ("beam.h_over_r", self.h_over_r),
-            ("steering.azimuth_deg", self.azimuth_deg),
-            ("steering.elevation_deg", self.elevation_deg),
-            ("observation.offset_m", self.obs_offset_m),
-        ]
-        numbers += [("observation.bounds_m", v) for pair in self.obs_bounds for v in pair]
-        if self.analysis_radius_m is not None:
-            numbers.append(("analysis.radius_m", self.analysis_radius_m))
-        for name, value in numbers:
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.frequency_hz <= 0:
-            raise ConfigError("frequency_hz must be positive")
-        if self.n_x < 1 or self.n_z < 1:
-            raise ConfigError("array.n_x and array.n_z must be positive")
-        if self.spacing_in_wavelengths <= 0:
-            raise ConfigError("array.spacing_in_wavelengths must be positive")
-        if self.beam_kind not in ("gaussian", "bessel"):
-            raise ConfigError("beam.kind must be 'gaussian' or 'bessel'")
-        if self.h_over_r <= 0:
-            raise ConfigError("beam.h_over_r must be positive")
-        for name, value in (
-            ("steering.azimuth_deg", self.azimuth_deg),
-            ("steering.elevation_deg", self.elevation_deg),
-        ):
-            if not -90.0 < value < 90.0:
-                raise ConfigError(f"{name} must lie strictly inside (-90, 90)")
-        if self.obs_plane not in ("xy", "yz", "xz"):
-            raise ConfigError("observation.plane must be one of xy, yz, xz")
-        if not all(lo < hi for lo, hi in self.obs_bounds):
-            raise ConfigError("observation.bounds_m must have lo < hi on both axes")
-        if min(self.obs_resolution) < 2:
-            raise ConfigError("observation.resolution must be at least 2 per axis")
-        if self.analysis_radius_m is not None and self.analysis_radius_m <= 0:
-            raise ConfigError("analysis.radius_m must be positive when given")
+        """Check each value against its `_KEYS` row; the first failing row is reported."""
+        for key, (name, _, check, accepts) in _KEYS.items():
+            value = getattr(self, name)
+            if not _finite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if not check(value):
+                raise ConfigError(f"{key} must be {accepts}, got {value!r}")
+
+
+def _finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _number(value) -> float:
@@ -126,14 +102,10 @@ def _count(value) -> int:
     return int(number)
 
 
-def _name(value) -> str:
-    if not isinstance(value, str) or not value:
+def _text(value) -> str:
+    if not isinstance(value, str):
         raise TypeError(value)
     return value
-
-
-def _optional_number(value) -> float | None:
-    return None if value is None else _number(value)
 
 
 def _pair(parse):
@@ -144,28 +116,76 @@ def _pair(parse):
     return parse_pair
 
 
-# dotted YAML key -> (SimulationConfig field, parser, what the parser accepts)
+# beam kind -> its unsteered wavefront
+_BEAMS = {
+    "gaussian": lambda cfg: Wavefront.plane(),
+    "bessel": lambda cfg: Wavefront.cone(cfg.h_over_r),
+}
+
+# (parser, check on the parsed value, accepted form) shared by several keys
+_POSITIVE = (_number, lambda v: v > 0, "a positive number")
+_ANGLE = (_number, lambda v: -90.0 < v < 90.0, "a number strictly inside (-90, 90)")
+_COUNT = (_count, lambda v: v > 0, "a positive whole number")
+_FILE_NAME = (_text, bool, "a non-empty string")
+
+# dotted YAML key -> (SimulationConfig field, parser, check, accepted form)
 _KEYS = {
-    "frequency_hz": ("frequency_hz", _number, "a number"),
-    "array.n_x": ("n_x", _count, "a whole number"),
-    "array.n_z": ("n_z", _count, "a whole number"),
-    "array.spacing_in_wavelengths": ("spacing_in_wavelengths", _number, "a number"),
-    "beam.kind": ("beam_kind", _name, "'gaussian' or 'bessel'"),
-    "beam.h_over_r": ("h_over_r", _number, "a number"),
-    "steering.azimuth_deg": ("azimuth_deg", _number, "a number"),
-    "steering.elevation_deg": ("elevation_deg", _number, "a number"),
-    "observation.plane": ("obs_plane", _name, "one of xy, yz, xz"),
-    "observation.bounds_m": ("obs_bounds", _pair(_pair(_number)), "[[lo1, hi1], [lo2, hi2]]"),
-    "observation.resolution": ("obs_resolution", _pair(_count), "[n1, n2] of whole numbers"),
-    "observation.offset_m": ("obs_offset_m", _number, "a number"),
-    "analysis.radius_m": ("analysis_radius_m", _optional_number, "a number or null"),
-    "outputs.out_dir": ("out_dir", _name, "a non-empty string"),
-    "outputs.phase_csv": ("phase_csv", _name, "a non-empty string"),
-    "outputs.field_csv": ("field_csv", _name, "a non-empty string"),
-    "outputs.heatmap": ("heatmap_stem", _name, "a non-empty string"),
-    "outputs.report": ("report", _name, "a non-empty string"),
+    "frequency_hz": ("frequency_hz", *_POSITIVE),
+    "array.n_x": ("n_x", *_COUNT),
+    "array.n_z": ("n_z", *_COUNT),
+    "array.spacing_in_wavelengths": ("spacing_in_wavelengths", *_POSITIVE),
+    "beam.kind": ("beam_kind", _text, _BEAMS.__contains__, " or ".join(map(repr, _BEAMS))),
+    "beam.h_over_r": ("h_over_r", *_POSITIVE),
+    "steering.azimuth_deg": ("azimuth_deg", *_ANGLE),
+    "steering.elevation_deg": ("elevation_deg", *_ANGLE),
+    "observation.plane": (
+        "obs_plane", _text, PLANE_AXES.__contains__, f"one of {', '.join(PLANE_AXES)}"
+    ),
+    "observation.bounds_m": (
+        "obs_bounds",
+        _pair(_pair(_number)),
+        lambda bounds: all(lo < hi for lo, hi in bounds),
+        "[[lo1, hi1], [lo2, hi2]] with lo < hi on both axes",
+    ),
+    "observation.resolution": (
+        "obs_resolution", _pair(_count), lambda n: min(n) >= 2, "[n1, n2] of whole numbers >= 2"
+    ),
+    "observation.offset_m": ("obs_offset_m", _number, lambda v: True, "a number"),
+    "analysis.radius_m": (
+        "analysis_radius_m",
+        lambda radius: None if radius is None else _number(radius),
+        lambda radius: radius is None or radius > 0,
+        "a positive number or null",
+    ),
+    "outputs.out_dir": ("out_dir", *_FILE_NAME),
+    "outputs.phase_csv": ("phase_csv", *_FILE_NAME),
+    "outputs.field_csv": ("field_csv", *_FILE_NAME),
+    "outputs.heatmap": ("heatmap_stem", *_FILE_NAME),
+    "outputs.report": ("report", *_FILE_NAME),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
+
+# flag of the pipeline subcommands -> (dotted key it overrides, help text,
+# factor from the flag's unit to the key's, None when they agree)
+_FLAGS = {
+    "--az-deg": ("steering.azimuth_deg", "steering azimuth, degrees", None),
+    "--el-deg": ("steering.elevation_deg", "steering elevation, degrees", None),
+    "--beam": ("beam.kind", "beam kind", None),
+    "--h-over-r": ("beam.h_over_r", "cone slope h/r", None),
+    "--freq-ghz": ("frequency_hz", "frequency, GHz", 1e9),
+    "--nx": ("array.n_x", "elements along x", None),
+    "--nz": ("array.n_z", "elements along z", None),
+    "--out-dir": ("outputs.out_dir", "output directory", None),
+}
+
+
+def _parse(key: str, value) -> tuple[str, object]:
+    """The config field of `key` and `value` parsed by its row."""
+    name, parse, _, accepts = _KEYS[key]
+    try:
+        return name, parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {accepts}, got {value!r}") from exc
 
 
 def load_config(path: str | Path | None) -> SimulationConfig:
@@ -194,32 +214,20 @@ def load_config(path: str | Path | None) -> SimulationConfig:
         for dotted, item in entries:
             if dotted not in _KEYS:
                 raise ConfigError(f"unknown config key: {dotted}")
-            name, parse, accepts = _KEYS[dotted]
-            try:
-                updates[name] = parse(item)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{dotted} must be {accepts}, got {item!r}") from exc
+            name, parsed = _parse(dotted, item)
+            updates[name] = parsed
     return replace(cfg, **updates)
 
 
 def apply_overrides(cfg: SimulationConfig, args: argparse.Namespace) -> SimulationConfig:
-    mapping = {
-        "az_deg": "azimuth_deg",
-        "el_deg": "elevation_deg",
-        "beam": "beam_kind",
-        "h_over_r": "h_over_r",
-        "nx": "n_x",
-        "nz": "n_z",
-        "out_dir": "out_dir",
-    }
+    """The config with every given flag's value, parsed as its key's YAML value."""
     updates = {}
-    for arg_name, field_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            updates[field_name] = value
-    if getattr(args, "freq_ghz", None) is not None:
-        updates["frequency_hz"] = args.freq_ghz * 1e9
-    return replace(cfg, **updates) if updates else cfg
+    for flag, (key, _, unit) in _FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is not None:
+            name, value = _parse(key, text)
+            updates[name] = value if unit is None else unit * value
+    return replace(cfg, **updates)
 
 
 @dataclass(frozen=True)
@@ -239,23 +247,8 @@ def build_scenario(cfg: SimulationConfig) -> Scenario:
         spacing=cfg.spacing_in_wavelengths * wavelength,
         wavelength=wavelength,
     )
-    try:
-        angles = SteeringAngles.from_degrees(cfg.azimuth_deg, cfg.elevation_deg)
-    except AngleRangeError as exc:
-        raise ConfigError(str(exc)) from exc
-    base = Wavefront.plane() if cfg.beam_kind == "gaussian" else Wavefront.cone(cfg.h_over_r)
-    return Scenario(config=cfg, array=array, angles=angles, wavefront=base)
-
-
-def observation_grid(cfg: SimulationConfig) -> ObservationGrid:
-    return ObservationGrid.plane_grid(
-        cfg.obs_plane,
-        cfg.obs_bounds[0],
-        cfg.obs_bounds[1],
-        cfg.obs_resolution[0],
-        cfg.obs_resolution[1],
-        offset=cfg.obs_offset_m,
-    )
+    angles = SteeringAngles.from_degrees(cfg.azimuth_deg, cfg.elevation_deg)
+    return Scenario(config=cfg, array=array, angles=angles, wavefront=_BEAMS[cfg.beam_kind](cfg))
 
 
 def analysis_radius(scn: Scenario) -> float:
@@ -271,7 +264,7 @@ def analysis_radius(scn: Scenario) -> float:
     min_radius = analysis.min_scan_radius(scn.array)
     if cfg.analysis_radius_m is not None:
         return cfg.analysis_radius_m
-    if cfg.beam_kind == "bessel":
+    if scn.wavefront.kind == CONE:
         return max(0.5 * analysis.propagation_range(scn.array, cfg.h_over_r), min_radius)
     diameter = 2.0 * scn.array.aperture_radius
     return max(2.0 * diameter**2 / scn.array.wavelength, min_radius)
@@ -281,49 +274,55 @@ def _synthesize(scn: Scenario) -> PhaseDistribution:
     return synthesize(scn.array, steer(scn.wavefront, scn.angles))
 
 
+def _pipeline(cfg: SimulationConfig) -> tuple[Scenario, PhaseDistribution, FieldGrid]:
+    scn = build_scenario(cfg)
+    pd = _synthesize(scn)
+    grid = ObservationGrid.plane_grid(
+        cfg.obs_plane, *cfg.obs_bounds, *cfg.obs_resolution, offset=cfg.obs_offset_m
+    )
+    return scn, pd, total_field(scn.array, to_excitation(pd), grid)
+
+
 def _out(cfg: SimulationConfig, name: str) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
 
 
+def _write_pgm(cfg: SimulationConfig, name: str, values, quantity: str, extra) -> Path:
+    """Write a heatmap and the sidecar that states its value mapping."""
+    path = _out(cfg, name)
+    lo, hi = heatmap.write_pgm16(values, path)
+    heatmap.write_sidecar(path.with_suffix(".pgm.txt"), quantity, lo, hi, extra=extra)
+    return path
+
+
+def _write_report(cfg: SimulationConfig, entries: list[tuple[str, object]]) -> list[Path]:
+    """Write the report text and its CSV twin."""
+    text_path = _out(cfg, cfg.report)
+    csv_path = text_path.with_suffix(".csv")
+    analysis.export_report_text(entries, text_path)
+    analysis.export_report_csv(entries, csv_path)
+    return [text_path, csv_path]
+
+
 def write_phase_outputs(cfg: SimulationConfig, pd: PhaseDistribution) -> list[Path]:
     phase_path = _out(cfg, cfg.phase_csv)
     export_phase_csv(pd, phase_path)
-    pgm_path = _out(cfg, "phase_wrapped.pgm")
-    lo, hi = heatmap.write_pgm16(wrap_phase(pd).phase_grid(), pgm_path)
-    heatmap.write_sidecar(
-        pgm_path.with_suffix(".pgm.txt"),
-        "wrapped_phase_rad",
-        lo,
-        hi,
-        extra=[("axes", "x (left-right), z (bottom-top)")],
-    )
-    return [phase_path, pgm_path]
+    axes = [("axes", "x (left-right), z (bottom-top)")]
+    wrapped = wrap_phase(pd).phase_grid()
+    return [phase_path, _write_pgm(cfg, "phase_wrapped.pgm", wrapped, "wrapped_phase_rad", axes)]
 
 
 def write_field_outputs(cfg: SimulationConfig, fg: FieldGrid) -> list[Path]:
     field_path = _out(cfg, cfg.field_csv)
     export_field_csv(fg, field_path)
+    layers = {"Emag": fg.magnitude(), "Ex": np.abs(fg.ex), "Ey": np.abs(fg.ey), "Ez": np.abs(fg.ez)}
+    plane = [("plane", fg.grid.plane), ("offset_m", fg.grid.offset)]
     paths = [field_path]
-    shape = fg.grid.shape
-    layers = {
-        "Emag": fg.magnitude(),
-        "Ex": np.abs(fg.ex),
-        "Ey": np.abs(fg.ey),
-        "Ez": np.abs(fg.ez),
-    }
     for tag, values in layers.items():
-        pgm_path = _out(cfg, f"{cfg.heatmap_stem}_{tag}.pgm")
-        lo, hi = heatmap.write_pgm16(values.reshape(shape), pgm_path)
-        heatmap.write_sidecar(
-            pgm_path.with_suffix(".pgm.txt"),
-            f"|{tag}| V/m",
-            lo,
-            hi,
-            extra=[("plane", fg.grid.plane), ("offset_m", fg.grid.offset)],
-        )
-        paths.append(pgm_path)
+        name = f"{cfg.heatmap_stem}_{tag}.pgm"
+        paths.append(_write_pgm(cfg, name, values.reshape(fg.grid.shape), f"|{tag}| V/m", plane))
     return paths
 
 
@@ -346,56 +345,38 @@ def run_analysis(
         ("power_fraction_z", report.fractions[2]),
         ("peak_cross_pol_ratio", report.peak_cross_pol_ratio),
     ]
-    if scn.config.beam_kind == "bessel":
+    if scn.wavefront.kind == CONE:
         entries.append(
             ("propagation_range_m", analysis.propagation_range(scn.array, scn.config.h_over_r))
         )
     return entries
 
 
-def cmd_synthesize(cfg: SimulationConfig) -> int:
-    scn = build_scenario(cfg)
-    pd = _synthesize(scn)
-    paths = write_phase_outputs(cfg, pd)
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
+def cmd_synthesize(cfg: SimulationConfig) -> list[Path]:
+    return write_phase_outputs(cfg, _synthesize(build_scenario(cfg)))
 
 
-def cmd_field(cfg: SimulationConfig) -> int:
-    scn = build_scenario(cfg)
-    pd = _synthesize(scn)
-    fg = total_field(scn.array, to_excitation(pd), observation_grid(cfg))
-    paths = write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
+def cmd_field(cfg: SimulationConfig) -> list[Path]:
+    _, pd, fg = _pipeline(cfg)
+    return write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
 
 
-def cmd_analyze(cfg: SimulationConfig) -> int:
-    scn = build_scenario(cfg)
-    pd = _synthesize(scn)
-    fg = total_field(scn.array, to_excitation(pd), observation_grid(cfg))
+def cmd_analyze(cfg: SimulationConfig) -> list[Path]:
+    scn, pd, fg = _pipeline(cfg)
     entries = run_analysis(scn, fg, pd)
-    report_path = _out(cfg, cfg.report)
-    analysis.export_report_text(entries, report_path)
-    analysis.export_report_csv(entries, report_path.with_suffix(".csv"))
+    paths = _write_report(cfg, entries)
     for key, value in entries:
         print(f"{key}: {value}")
-    print(f"wrote {report_path}, {report_path.with_suffix('.csv')}")
-    return 0
+    return paths
 
 
-def cmd_run(cfg: SimulationConfig) -> int:
+def cmd_run(cfg: SimulationConfig) -> list[Path]:
     start = time.perf_counter()
-    scn = build_scenario(cfg)
-    pd = _synthesize(scn)
-    fg = total_field(scn.array, to_excitation(pd), observation_grid(cfg))
+    scn, pd, fg = _pipeline(cfg)
     paths = write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
     entries = run_analysis(scn, fg, pd)
     elapsed = time.perf_counter() - start
-    report_path = _out(cfg, cfg.report)
-    analysis.export_report_text(entries, report_path)
-    analysis.export_report_csv(entries, report_path.with_suffix(".csv"))
-    paths.extend([report_path, report_path.with_suffix(".csv")])
+    paths += _write_report(cfg, entries)
     summary = dict(entries)
     print(
         "peak direction: "
@@ -409,40 +390,46 @@ def cmd_run(cfg: SimulationConfig) -> int:
         f"{summary['power_fraction_z']:.3e}"
     )
     print(f"runtime: {elapsed:.2f} s")
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
+    return paths
+
+
+# internal faults: exit 3, where a pipeline's input-derived errors exit 2
+_FAILURES = (NonConvergence, SolverFailure, OSError, ValueError)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.list:
+        print("\n".join(CHECKS))
+        return 0
     only = None
     if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
     try:
         results = run_validation(only=only, seed=args.seed, cases=args.cases)
-    except ValueError as exc:
+    except SelectionError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    all_passed = True
+    except _FAILURES as exc:
+        print(f"failure: {exc}", file=sys.stderr)
+        return 3
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         line = f"{status} {res.name}  max_error={res.max_error:.3e} threshold={res.threshold:.3e}"
         if res.detail:
             line += f"  ({res.detail})"
         print(line)
-        all_passed &= res.passed
-    return 0 if all_passed else 3
+    return 0 if all(res.passed for res in results) else 3
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="YAML configuration file")
-    parser.add_argument("--az-deg", dest="az_deg", type=float, help="steering azimuth, degrees")
-    parser.add_argument("--el-deg", dest="el_deg", type=float, help="steering elevation, degrees")
-    parser.add_argument("--beam", choices=("gaussian", "bessel"), help="beam kind")
-    parser.add_argument("--h-over-r", dest="h_over_r", type=float, help="cone slope h/r")
-    parser.add_argument("--freq-ghz", dest="freq_ghz", type=float, help="frequency, GHz")
-    parser.add_argument("--nx", type=int, help="elements along x")
-    parser.add_argument("--nz", type=int, help="elements along z")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+# subcommand -> (help text, handler); validate takes its own options and returns
+# its exit code, the pipeline handlers take the config and return the paths they wrote
+_COMMANDS = {
+    "synthesize": ("compute the phase distribution and export it", cmd_synthesize),
+    "field": ("compute the phase distribution and the field grid", cmd_field),
+    "analyze": ("compute field diagnostics and write the report", cmd_analyze),
+    "run": ("full pipeline: synthesize, field, analysis, all outputs", cmd_run),
+    "validate": ("run the numerical invariant suites", cmd_validate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,46 +439,36 @@ def build_parser() -> argparse.ArgumentParser:
         "for planar antenna arrays",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synthesize", "compute the phase distribution and export it"),
-        ("field", "compute the phase distribution and the field grid"),
-        ("analyze", "compute field diagnostics and write the report"),
-        ("run", "full pipeline: synthesize, field, analysis, all outputs"),
-    ):
+    for name, (help_text, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
-    v = sub.add_parser("validate", help="run the numerical invariant suites")
-    v.add_argument("--only", help="comma-separated subset of checks to run")
-    v.add_argument("--cases", type=int, default=40, help="solver-oracle random cases")
-    v.add_argument("--seed", type=int, default=20240901)
-    v.add_argument("--list", action="store_true", help="list available checks")
+        p.set_defaults(handler=handler)
+        if handler is cmd_validate:
+            p.add_argument("--only", help="comma-separated subset of checks to run")
+            p.add_argument("--cases", type=int, default=40, help="solver-oracle random cases")
+            p.add_argument("--seed", type=int, default=20240901)
+            p.add_argument("--list", action="store_true", help="list available checks")
+        else:
+            p.add_argument("--config", help="YAML configuration file")
+            for flag, (key, flag_help, _) in _FLAGS.items():
+                p.add_argument(flag, help=f"{flag_help}; overrides {key}, {_KEYS[key][3]}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        if args.list:
-            for name in CHECKS:
-                print(name)
-            return 0
+    if args.handler is cmd_validate:
         return cmd_validate(args)
     try:
-        cfg = apply_overrides(load_config(args.config), args)
-        handler = {
-            "synthesize": cmd_synthesize,
-            "field": cmd_field,
-            "analyze": cmd_analyze,
-            "run": cmd_run,
-        }[args.command]
-        return handler(cfg)
+        paths = args.handler(apply_overrides(load_config(args.config), args))
     except (ConfigError, AngleRangeError, ClearanceViolation, CoincidentPoint,
             analysis.RadiusOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, SolverFailure, OSError, ValueError) as exc:
+    except _FAILURES as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 3
+    print(f"wrote {', '.join(str(p) for p in paths)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -78,7 +78,6 @@ class PhaseDistribution:
     """Signed wavefront distances and unwrapped phase shifts per element."""
 
     array: ArrayGeometry
-    wavefront: SteeredWavefront
     signed_distances: np.ndarray
     phases: np.ndarray
 
@@ -133,9 +132,7 @@ def synthesize(
     if not np.all(np.isfinite(dist)):
         raise SolverFailure("non-finite distance after Newton and oracle fallback")
     phases = phase_shift(dist, array.wavelength)
-    return PhaseDistribution(
-        array=array, wavefront=w, signed_distances=dist, phases=phases
-    )
+    return PhaseDistribution(array=array, signed_distances=dist, phases=phases)
 
 
 def to_excitation(pd: PhaseDistribution) -> Excitation:
@@ -147,7 +144,6 @@ def wrap_phase(pd: PhaseDistribution) -> PhaseDistribution:
     """Phases mapped into [0, 2*pi) for presentation; distances untouched."""
     return PhaseDistribution(
         array=pd.array,
-        wavefront=pd.wavefront,
         signed_distances=pd.signed_distances,
         phases=np.mod(pd.phases, TWO_PI),
     )

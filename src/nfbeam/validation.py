@@ -41,6 +41,13 @@ class CheckResult:
     detail: str = ""
 
 
+# a smooth custom surface; synthesize runs Newton only on custom surfaces
+_CUSTOM = Wavefront.custom(
+    surface=lambda x, z: 0.1 * x * x + 0.05 * np.sin(z),
+    gradient=lambda x, z: (0.2 * x, 0.05 * np.cos(z) * np.ones_like(x)),
+)
+
+
 def check_rotation_orthonormality(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(200):
@@ -52,16 +59,8 @@ def check_rotation_orthonormality(rng: np.random.Generator) -> CheckResult:
 
 
 def check_gradient_finite_difference(rng: np.random.Generator) -> CheckResult:
-    surfaces = [
-        Wavefront.cone(0.2),
-        Wavefront.cone(0.5),
-        Wavefront.custom(
-            surface=lambda x, z: 0.1 * x * x + 0.05 * np.sin(z),
-            gradient=lambda x, z: (0.2 * x, 0.05 * np.cos(z) * np.ones_like(x)),
-        ),
-    ]
     worst = 0.0
-    for w in surfaces:
+    for w in (Wavefront.cone(0.2), Wavefront.cone(0.5), _CUSTOM):
         pts = rng.uniform(-0.5, 0.5, size=(200, 2))
         # keep clear of the cone apex where the gradient is undefined
         pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-3]
@@ -104,11 +103,14 @@ def check_solver_oracle_equivalence(
     threshold = 1e-7
     worst = 0.0
     detail = ""
-    for _ in range(cases):
+    # plane and cone cases first, then custom-surface cases
+    for case in range(cases + max(1, cases // 4)):
         angles = SteeringAngles.from_degrees(
             rng.uniform(-45.0, 45.0), rng.uniform(-45.0, 45.0)
         )
-        if rng.uniform() < 0.5:
+        if case >= cases:
+            base = _CUSTOM
+        elif rng.uniform() < 0.5:
             base = Wavefront.plane()
         else:
             base = Wavefront.cone(rng.uniform(0.05, 0.5))
@@ -178,17 +180,22 @@ CHECKS: dict[str, Callable] = {
 }
 
 
+class SelectionError(ValueError):
+    """The selection names an unknown check, or no check at all."""
+
+
 def run_validation(
     only: list[str] | None = None, seed: int = 20240901, cases: int = 40
 ) -> list[CheckResult]:
-    """Run the selected checks; raises ValueError on an empty selection."""
+    """Run the selected checks; raises SelectionError on an unknown or empty
+    selection before any check runs."""
     names = list(CHECKS) if only is None else [n for n in only if n in CHECKS]
     if only is not None:
         unknown = [n for n in only if n not in CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise SelectionError(f"unknown checks: {', '.join(unknown)}")
     if not names:
-        raise ValueError("no checks selected")
+        raise SelectionError("no checks selected")
     results = []
     for name in names:
         rng = np.random.default_rng(seed)

@@ -1,12 +1,19 @@
+import argparse
+import dataclasses
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nfbeam import cli, validation
 from nfbeam.cli import ConfigError, SimulationConfig, load_config, main
+from nfbeam.field import ClearanceViolation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_CONFIG = """\
 frequency_hz: 100.0e9
@@ -98,6 +105,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("outputs.out_dir", "out_dir"),
+            ("outputs.phase_csv", "phase_csv"),
+            ("outputs.field_csv", "field_csv"),
+            ("outputs.heatmap", "heatmap_stem"),
+            ("outputs.report", "report"),
+        ],
+    )
+    def test_empty_output_name_named(self, key, field):
+        with pytest.raises(ConfigError, match=f"{key} must be a non-empty string"):
+            SimulationConfig(**{field: ""}).validate()
+
+    def test_one_row_per_field_and_flags_target_rows(self):
+        fields = [row[0] for row in cli._KEYS.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(SimulationConfig))
+        assert all(key in cli._KEYS for key, _, _ in cli._FLAGS.values())
+
 
 class TestExitCodes:
     def test_out_of_range_elevation_exits_2(self, tmp_path, capsys):
@@ -144,6 +170,25 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, key",
+        [
+            ("--out-dir", "", "outputs.out_dir"),
+            ("--beam", "airy", "beam.kind"),
+            ("--nx", "6.5", "array.n_x"),
+            ("--freq-ghz", "abc", "frequency_hz"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_key(
+        self, tmp_path, capsys, monkeypatch, option, value, key
+    ):
+        path, out_dir = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synthesize", "--config", str(path), option, value]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert not (tmp_path / "phase.csv").exists()
 
     @pytest.mark.parametrize(
         "bounds",
@@ -306,7 +351,55 @@ class TestValidateCommand:
     def test_empty_selection_exits_2(self, capsys):
         assert main(["validate", "--only", ""]) == 2
 
+    def test_exception_inside_check_exits_3(self, capsys, monkeypatch):
+        def clearance_fault(rng):
+            raise ClearanceViolation("observation point inside the clearance")
+
+        monkeypatch.setitem(validation.CHECKS, "field_linearity", clearance_fault)
+        assert main(["validate", "--only", "field_linearity"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failure: ")
+        assert "config error" not in err
+
+    def test_solver_oracle_draws_custom_surface_last(self, monkeypatch):
+        kinds = []
+        solve_foot = validation.solve_foot
+
+        def recording(sw, pos, cfg):
+            kinds.append(sw.base.kind)
+            return solve_foot(sw, pos, cfg)
+
+        monkeypatch.setattr(validation, "solve_foot", recording)
+        res = validation.check_solver_oracle_equivalence(np.random.default_rng(7), cases=4)
+        assert res.passed
+        assert kinds[4:] == ["custom"]
+        assert "custom" not in kinds[:4]
+
     def test_list_checks(self, capsys):
         assert main(["validate", "--list"]) == 0
         out = capsys.readouterr().out
         assert "solver_oracle_equivalence" in out
+
+
+class TestReadme:
+    def test_yaml_config_block_loads_and_validates(self, tmp_path):
+        blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.yaml"
+        path.write_text(blocks[0])
+        load_config(path).validate()
+
+    def test_flag_tables_match_parser(self):
+        rows = re.findall(r"^\| `(--[\w-]+)` \| (?:`([\w.]+)`)?", README.read_text(), re.M)
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            option
+            for parser in subparsers.choices.values()
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        assert sorted(flag for flag, _ in rows) == sorted(flags - {"-h", "--help"})
+        overrides = {flag: key for flag, key in rows if key}
+        assert overrides == {flag: key for flag, (key, _, _) in cli._FLAGS.items()}

@@ -235,7 +235,6 @@ class TestWrapPhase:
         pd = synthesize(arr, steer(Wavefront.plane(), SteeringAngles(0.0, 0.0)))
         hacked = type(pd)(
             array=pd.array,
-            wavefront=pd.wavefront,
             signed_distances=pd.signed_distances,
             phases=np.array([TWO_PI, -math.pi / 2, 5 * math.pi]),
         )
