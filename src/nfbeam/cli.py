@@ -40,7 +40,7 @@ from .synthesis import (
     to_excitation,
     wrap_phase,
 )
-from .validation import CHECKS, SelectionError, run_validation
+from .validation import CHECKS, DEFAULT_CASES, DEFAULT_SEED, SelectionError, run_validation
 from .wavefront import CONE, Wavefront, steer
 
 
@@ -444,8 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if handler is cmd_validate:
             p.add_argument("--only", help="comma-separated subset of checks to run")
-            p.add_argument("--cases", type=int, default=40, help="solver-oracle random cases")
-            p.add_argument("--seed", type=int, default=20240901)
+            p.add_argument(
+                "--cases", type=int, default=DEFAULT_CASES, help="solver-oracle random cases"
+            )
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
             p.add_argument("--list", action="store_true", help="list available checks")
         else:
             p.add_argument("--config", help="YAML configuration file")

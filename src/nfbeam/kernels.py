@@ -2,9 +2,10 @@
 
 Two inner loops dominate runtime:
 
-* ``nearest_feet``: each element's foot on a canonical surface.  The cone
-  takes its closed form (:func:`cone_feet`); every other surface takes one
-  numpy Newton solve, vectorized over elements.
+* ``nearest_feet``: each element's foot on a canonical surface, the one
+  place a wavefront kind picks its distance method.  The cone takes its
+  closed form (:func:`cone_feet`); every other surface, the plane included,
+  takes one numpy Newton solve, vectorized over elements.
 * ``field_sum``: the per-point phasor superposition when mapping the
   vector field.  It has two backends with identical semantics: ``numba``
   (@njit, parallel over points) and ``numpy`` (vectorized, no
@@ -31,6 +32,10 @@ try:
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
     HAVE_NUMBA = False
+
+# Newton's iteration cap and residual tolerance; read at each call
+MAX_ITERATIONS = 50
+RESIDUAL_TOL = 1e-12
 
 
 def resolve_backend() -> str:
@@ -59,11 +64,12 @@ class FootBatch(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _newton(w: Wavefront, xe, ye, ze, tol, max_iter) -> FootBatch:
+def _newton(w: Wavefront, xe, ye, ze) -> FootBatch:
     """Newton iteration from below each element; only unsettled rows iterate.
 
-    A row settles when its residual drops to ``tol`` (converged), when it
-    runs out of iterations, or when its Jacobian turns singular.
+    A row settles when its residual drops to :data:`RESIDUAL_TOL`
+    (converged), when it runs out of :data:`MAX_ITERATIONS`, or when its
+    Jacobian turns singular.
     """
     n = xe.shape[0]
     x = xe.copy()
@@ -72,7 +78,7 @@ def _newton(w: Wavefront, xe, ye, ze, tol, max_iter) -> FootBatch:
     iters = np.zeros(n, np.int64)
     conv = np.zeros(n, bool)
     act = np.arange(n)
-    for step in range(max_iter + 1):
+    for step in range(MAX_ITERATIONS + 1):
         if act.size == 0:
             break
         xa, za = x[act], z[act]
@@ -80,11 +86,11 @@ def _newton(w: Wavefront, xe, ye, ze, tol, max_iter) -> FootBatch:
         ta = surface_eval(w, xa, za) - ye[act]
         g1 = xa - xe[act] + ta * fx
         g2 = za - ze[act] + ta * fz
-        done = (np.abs(g1) <= tol) & (np.abs(g2) <= tol)
+        done = (np.abs(g1) <= RESIDUAL_TOL) & (np.abs(g2) <= RESIDUAL_TOL)
         hit = act[done]
         dist[hit] = ta[done] * np.sqrt(1.0 + fx[done] * fx[done] + fz[done] * fz[done])
         conv[hit] = True
-        if step == max_iter:
+        if step == MAX_ITERATIONS:
             break
         go = ~done
         act, xa, za, ta, fx, fz, g1, g2 = (v[go] for v in (act, xa, za, ta, fx, fz, g1, g2))
@@ -127,16 +133,15 @@ def cone_feet(h_over_r: float, elem_primed):
     return d, np.where(off_axis, p[..., 0] * scale, foot_rho), p[..., 2] * scale
 
 
-def nearest_feet(
-    elem_primed: np.ndarray, wavefront: Wavefront, tol: float, max_iter: int
-) -> FootBatch:
+def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
     """Nearest foot on the canonical ``wavefront`` for each steered-frame element.
 
     ``elem_primed`` is (M, 3).  The cone takes its closed form
     (:func:`cone_feet`, zero iterations); every other surface runs Newton
-    from directly below the element.  Rows that do not converge come back
-    with ``converged=False`` and NaN distance; the caller decides how to
-    fall back.
+    from directly below the element.  On the plane that start is the foot,
+    so it converges in zero iterations with distance exactly -y'.  Rows that
+    do not converge come back with ``converged=False`` and NaN distance; the
+    caller decides how to fall back.
     """
     pe = np.ascontiguousarray(elem_primed, dtype=np.float64)
     if pe.ndim != 2 or pe.shape[1] != 3:
@@ -144,7 +149,7 @@ def nearest_feet(
     if wavefront.kind == CONE:
         d, x, z = cone_feet(wavefront.h_over_r, pe)
         return FootBatch(d, x, z, np.zeros(d.shape, np.int64), np.isfinite(d))
-    return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2], tol, max_iter)
+    return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2])
 
 
 def _field_sum_numpy(pos, cur, pts, k, chunk=16384):

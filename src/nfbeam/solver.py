@@ -1,12 +1,10 @@
 """Minimum signed distance from an antenna element to a steered wavefront.
 
 The element is mapped into the steered frame, where the wavefront is its
-canonical surface y = f(x, z).  The plane and the cone have closed-form
-distances (:func:`plane_distance_closed_form`,
-:func:`cone_distance_closed_form`); :func:`kernels.nearest_feet` returns
+canonical surface y = f(x, z).  :func:`kernels.nearest_feet` returns
 the cone's closed form and finds the foot of the perpendicular on any other
-surface by Newton iteration on the two-variable system obtained by
-eliminating the line parameter t:
+surface, the plane included, by Newton iteration on the two-variable system
+obtained by eliminating the line parameter t:
 
     g1(x, z) = x - x_e + t * df/dx = 0
     g2(x, z) = z - z_e + t * df/dz = 0      with  t = f(x, z) - y_e.
@@ -16,8 +14,9 @@ when the element must advance its phase to reach the wavefront (element
 below the surface), negative when it sits beyond it.  For the plane this
 reduces to the classical far-field steering phase, sign included.
 
-A brute-force squared-distance minimizer over a dense grid serves as the
-independent oracle for every solve path.
+The plane's angle form (:func:`plane_distance_closed_form`) and a
+brute-force squared-distance minimizer over a dense grid serve as
+independent references for every solve path.
 """
 
 from __future__ import annotations
@@ -44,23 +43,17 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and search-box parameters for the distance solvers.
+    """Search-box parameters for the brute-force oracle.
 
     ``oracle_halfwidth`` defaults to four times the element's distance from
     the steered-frame origin (callers that know the array pass four times
     the aperture instead).
     """
 
-    max_iterations: int = 50
-    residual_tol: float = 1e-12
     oracle_grid: int = 2001
     oracle_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
         if self.oracle_grid < 3:
             raise ValueError("oracle_grid must be at least 3")
         if self.oracle_halfwidth is not None and self.oracle_halfwidth <= 0:
@@ -74,25 +67,21 @@ class FootSolution:
     foot: np.ndarray
     signed_distance: float
     iterations: int
-    converged: bool
 
 
-def solve_foot(
-    w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
-) -> FootSolution:
+def solve_foot(w: SteeredWavefront, element_pos: np.ndarray) -> FootSolution:
     """Nearest point on the steered wavefront from an element in the array plane.
 
     A one-row call to :func:`kernels.nearest_feet`: the closed form for a
-    cone (no Newton start), Newton for any other surface.  Raises
-    :class:`NonConvergence` when Newton does not converge (callers fall
-    back to :func:`oracle_min_distance`).
+    cone, Newton for any other surface.  Raises :class:`NonConvergence`
+    when Newton does not converge (callers fall back to
+    :func:`oracle_min_distance`).
     """
-    cfg = cfg or SolverConfig()
     pe = to_primed(w.rotation, element_pos)
-    batch = kernels.nearest_feet(pe[None, :], w.base, cfg.residual_tol, cfg.max_iterations)
+    batch = kernels.nearest_feet(pe[None, :], w.base)
     if not batch.converged[0]:
         raise NonConvergence(
-            f"Newton did not converge within {cfg.max_iterations} iterations "
+            f"Newton did not converge within {kernels.MAX_ITERATIONS} iterations "
             f"for element ({pe[0]:.6g}, {pe[1]:.6g}, {pe[2]:.6g})"
         )
     x, z = float(batch.foot_x[0]), float(batch.foot_z[0])
@@ -100,7 +89,6 @@ def solve_foot(
         foot=np.array([x, surface_eval(w.base, x, z), z]),
         signed_distance=float(batch.signed_distance[0]),
         iterations=int(batch.iterations[0]),
-        converged=True,
     )
 
 

@@ -20,12 +20,10 @@ from . import kernels
 from .solver import (
     SolverConfig,
     SolverFailure,
-    cone_distance_closed_form,
     oracle_signed_min_distance,
-    plane_distance_closed_form,
     solve_foot,  # noqa: F401 - benchmark tracers look it up on this module
 )
-from .wavefront import CONE, PLANE, SteeredWavefront
+from .wavefront import SteeredWavefront
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,30 +103,19 @@ def synthesize(
 ) -> PhaseDistribution:
     """Solve every element's distance to the steered wavefront and phase it.
 
-    Plane and cone wavefronts take their closed forms; custom surfaces take
-    one batch Newton solve (:func:`kernels.nearest_feet`).  Elements where
-    Newton fails fall back to the brute-force oracle; only if that also
-    fails does :class:`SolverFailure` propagate.
+    One batch :func:`kernels.nearest_feet` call for every wavefront kind.
+    Elements where Newton fails fall back to the brute-force oracle; only
+    if that also fails does :class:`SolverFailure` propagate.
     """
     cfg = cfg or SolverConfig()
     if cfg.oracle_halfwidth is None:
         sx, sz = array.aperture_sides
         cfg = replace(cfg, oracle_halfwidth=4.0 * max(sx, sz))
     pos = array.element_positions
-    kind = w.base.kind
-
-    if kind == PLANE:
-        dist = plane_distance_closed_form(w.angles, pos)
-    elif kind == CONE:
-        dist = cone_distance_closed_form(w.base.h_over_r, pos @ w.rotation.T)
-    else:
-        batch = kernels.nearest_feet(
-            pos @ w.rotation.T, w.base, cfg.residual_tol, cfg.max_iterations
-        )
-        dist = batch.signed_distance
-        for n in np.flatnonzero(~batch.converged):
-            dist[n] = oracle_signed_min_distance(w, pos[n], cfg)
-
+    batch = kernels.nearest_feet(pos @ w.rotation.T, w.base)
+    dist = batch.signed_distance
+    for n in np.flatnonzero(~batch.converged):
+        dist[n] = oracle_signed_min_distance(w, pos[n], cfg)
     if not np.all(np.isfinite(dist)):
         raise SolverFailure("non-finite distance after Newton and oracle fallback")
     phases = phase_shift(dist, array.wavelength)

@@ -13,15 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .field import ObservationGrid, export_field_csv, frequency_to_wavelength, total_field
 from .geometry import SteeringAngles, steering_rotation
-from .solver import (
-    SolverConfig,
-    oracle_min_distance,
-    plane_distance_closed_form,
-    solve_foot,
-)
+from .solver import oracle_min_distance, plane_distance_closed_form, solve_foot
 from .synthesis import (
     ArrayGeometry,
     Excitation,
@@ -30,6 +24,10 @@ from .synthesis import (
     to_excitation,
 )
 from .wavefront import Wavefront, steer, surface_eval, surface_gradient
+
+# defaults of ``nfbeam validate --cases`` and ``--seed``
+DEFAULT_CASES = 40
+DEFAULT_SEED = 20240901
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class CheckResult:
     detail: str = ""
 
 
-# a smooth custom surface; synthesize runs Newton only on custom surfaces
+# a smooth custom surface, which has no closed form: Newton solves it
 _CUSTOM = Wavefront.custom(
     surface=lambda x, z: 0.1 * x * x + 0.05 * np.sin(z),
     gradient=lambda x, z: (0.2 * x, 0.05 * np.cos(z) * np.ones_like(x)),
@@ -75,27 +73,21 @@ def check_gradient_finite_difference(rng: np.random.Generator) -> CheckResult:
 
 
 def check_plane_closed_form_regression(rng: np.random.Generator) -> CheckResult:
-    # Newton on the plane, which synthesize never runs, against its closed form
+    # synthesize's plane distances against the plane's angle form
     wavelength = frequency_to_wavelength(100e9)
     array = ArrayGeometry.half_wave(32, 32, wavelength)
-    cfg = SolverConfig()
     worst = 0.0
     for az_deg in (-40.0, -20.0, 0.0, 20.0, 40.0):
         for el_deg in (-40.0, -20.0, 0.0, 20.0, 40.0):
             angles = SteeringAngles.from_degrees(az_deg, el_deg)
-            primed = array.element_positions @ steering_rotation(angles).T
-            feet = kernels.nearest_feet(
-                primed, Wavefront.plane(), cfg.residual_tol, cfg.max_iterations
-            )
+            dist = synthesize(array, steer(Wavefront.plane(), angles)).signed_distances
             ref = plane_distance_closed_form(angles, array.element_positions)
-            # an unconverged row (NaN distance) counts as an infinite error
-            err = np.where(feet.converged, np.abs(feet.signed_distance - ref), np.inf)
-            worst = max(worst, float(np.max(err)))
+            worst = max(worst, float(np.max(np.abs(dist - ref))))
     return CheckResult("plane_closed_form_regression", worst <= 1e-9, worst, 1e-9)
 
 
 def check_solver_oracle_equivalence(
-    rng: np.random.Generator, cases: int = 40
+    rng: np.random.Generator, cases: int = DEFAULT_CASES
 ) -> CheckResult:
     # the refined oracle (grid plus golden-section polish) is far tighter
     # than its worst-case cell-diagonal bound, so this check holds the
@@ -116,10 +108,8 @@ def check_solver_oracle_equivalence(
             base = Wavefront.cone(rng.uniform(0.05, 0.5))
         sw = steer(base, angles)
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
-        hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
-        cfg = SolverConfig(oracle_halfwidth=hw)
-        solved = abs(solve_foot(sw, pos, cfg).signed_distance)
-        oracle = oracle_min_distance(sw, pos, cfg)
+        solved = abs(solve_foot(sw, pos).signed_distance)
+        oracle = oracle_min_distance(sw, pos)
         worst = max(worst, abs(solved - oracle))
     if worst > threshold:
         detail = "solve_foot distances disagree with the brute-force minimization"
@@ -181,14 +171,17 @@ CHECKS: dict[str, Callable] = {
 
 
 class SelectionError(ValueError):
-    """The selection names an unknown check, or no check at all."""
+    """The selection names an unknown check or no check at all, or asks for
+    fewer than one solver-oracle case."""
 
 
 def run_validation(
-    only: list[str] | None = None, seed: int = 20240901, cases: int = 40
+    only: list[str] | None = None, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES
 ) -> list[CheckResult]:
     """Run the selected checks; raises SelectionError on an unknown or empty
-    selection before any check runs."""
+    selection, or on ``cases`` below 1, before any check runs."""
+    if cases < 1:
+        raise SelectionError("--cases must be at least 1")
     names = list(CHECKS) if only is None else [n for n in only if n in CHECKS]
     if only is not None:
         unknown = [n for n in only if n not in CHECKS]

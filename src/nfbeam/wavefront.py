@@ -118,24 +118,20 @@ def surface_gradient(w: Wavefront, x, z):
 def surface_hessian(w: Wavefront, x, z):
     """(d2f/dx2, d2f/dxdz, d2f/dz2) of the canonical surface.
 
-    Zero for the plane; any other surface uses central differences of
-    :func:`surface_gradient` with step :func:`_fd_step`.  Only
-    Newton on surfaces without a closed-form distance needs it.
+    Central differences of :func:`surface_gradient` with step
+    :func:`_fd_step`; the plane's zero gradient differences to exactly zero.
+    Only Newton (:func:`kernels.nearest_feet`) needs it.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if w.kind == PLANE:
-        zero = np.zeros(np.broadcast(x, z).shape)
-        fxx, fxz, fzz = zero, zero, zero
-    else:
-        h = _fd_step(x, z)
-        gxp, gzp = surface_gradient(w, x + h, z)
-        gxm, gzm = surface_gradient(w, x - h, z)
-        _, gzp2 = surface_gradient(w, x, z + h)
-        _, gzm2 = surface_gradient(w, x, z - h)
-        fxx = (gxp - gxm) / (2.0 * h)
-        fxz = (gzp - gzm) / (2.0 * h)
-        fzz = (gzp2 - gzm2) / (2.0 * h)
+    h = _fd_step(x, z)
+    gxp, gzp = surface_gradient(w, x + h, z)
+    gxm, gzm = surface_gradient(w, x - h, z)
+    _, gzp2 = surface_gradient(w, x, z + h)
+    _, gzm2 = surface_gradient(w, x, z - h)
+    fxx = (gxp - gxm) / (2.0 * h)
+    fxz = (gzp - gzm) / (2.0 * h)
+    fzz = (gzp2 - gzm2) / (2.0 * h)
     if np.ndim(fxx):
         return fxx, fxz, fzz
     return float(fxx), float(fxz), float(fzz)

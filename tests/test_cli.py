@@ -351,6 +351,13 @@ class TestValidateCommand:
     def test_empty_selection_exits_2(self, capsys):
         assert main(["validate", "--only", ""]) == 2
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_exits_2(self, capsys, cases):
+        assert main(["validate", "--only", "solver_oracle_equivalence", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --cases must be at least 1\n"
+        assert captured.out == ""
+
     def test_exception_inside_check_exits_3(self, capsys, monkeypatch):
         def clearance_fault(rng):
             raise ClearanceViolation("observation point inside the clearance")
@@ -365,9 +372,9 @@ class TestValidateCommand:
         kinds = []
         solve_foot = validation.solve_foot
 
-        def recording(sw, pos, cfg):
+        def recording(sw, pos):
             kinds.append(sw.base.kind)
-            return solve_foot(sw, pos, cfg)
+            return solve_foot(sw, pos)
 
         monkeypatch.setattr(validation, "solve_foot", recording)
         res = validation.check_solver_oracle_equivalence(np.random.default_rng(7), cases=4)

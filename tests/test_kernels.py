@@ -33,14 +33,14 @@ class TestBackendSelection:
 class TestNearestFeet:
     def test_cone_matches_meridian_closed_form(self, rng):
         pe = random_primed_elements(rng)
-        out = kernels.nearest_feet(pe, Wavefront.cone(0.3), 1e-12, 50)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.3))
         assert out.converged.all()
         ref = np.array([cone_distance_closed_form(0.3, p) for p in pe])
         np.testing.assert_allclose(out.signed_distance, ref, atol=1e-12)
 
     def test_plane_kind(self, rng):
         pe = random_primed_elements(rng, n=64)
-        out = kernels.nearest_feet(pe, Wavefront.plane(), 1e-12, 50)
+        out = kernels.nearest_feet(pe, Wavefront.plane())
         assert out.converged.all()
         np.testing.assert_array_equal(out.signed_distance, -pe[:, 1])
         np.testing.assert_array_equal(out.foot_x, pe[:, 0])
@@ -49,7 +49,7 @@ class TestNearestFeet:
     def test_apex_elements(self):
         # apex directly above/below the element projection, including the apex itself
         pe = np.array([[0.0, 0.0, 0.0], [0.0, -0.05, 0.0], [0.0, 0.05, 0.0]])
-        out = kernels.nearest_feet(pe, Wavefront.cone(0.2), 1e-12, 50)
+        out = kernels.nearest_feet(pe, Wavefront.cone(0.2))
         assert out.converged.all()
         assert out.signed_distance[0] == 0.0
         assert out.signed_distance[1] == pytest.approx(0.05, abs=1e-12)
@@ -75,7 +75,7 @@ class TestNearestFeet:
         arr = ArrayGeometry.half_wave(12, 12, frequency_to_wavelength(100e9))
         rotation = steering_rotation(SteeringAngles.from_degrees(az_deg, el_deg))
         pe = arr.element_positions @ rotation.T
-        out = kernels.nearest_feet(pe, w, 1e-12, 50)
+        out = kernels.nearest_feet(pe, w)
         assert out.converged.all()
         # quadratic convergence; a wrong curvature term takes 4 to 13 iterations
         assert out.iterations.max() <= 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nfbeam import kernels
 from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
     NonConvergence,
@@ -50,7 +51,6 @@ class TestSolveFootPlane:
             sw = steer(Wavefront.plane(), angles)
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
             sol = solve_foot(sw, pos)
-            assert sol.converged
             ref = plane_distance_closed_form(angles, pos)
             assert sol.signed_distance == pytest.approx(ref, abs=1e-12)
 
@@ -76,7 +76,6 @@ class TestSolveFootCone:
     def test_unsteered_element_at_unit_radius(self):
         sw = steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0))
         sol = solve_foot(sw, np.array([1.0, 0.0, 0.0]))
-        assert sol.converged
         assert sol.signed_distance == pytest.approx(UNSTEERED_CONE_D_RHO1, abs=1e-12)
 
     def test_unsteered_element_at_origin(self):
@@ -95,14 +94,12 @@ class TestSolveFootCone:
             assert sol.signed_distance == pytest.approx(ref, abs=1e-12)
 
     def test_residual_certificate_and_normal_alignment(self, rng):
-        cfg = SolverConfig()
         for _ in range(40):
             m = rng.uniform(0.05, 0.5)
             az, el = rng.uniform(-0.9, 0.9, size=2)
             sw = steer(Wavefront.cone(m), SteeringAngles(az, el))
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            sol = solve_foot(sw, pos, cfg)
-            assert sol.converged
+            sol = solve_foot(sw, pos)
             pe = to_primed(sw.rotation, pos)
             assert abs(sol.signed_distance) == pytest.approx(
                 np.linalg.norm(sol.foot - pe), abs=1e-9
@@ -180,7 +177,7 @@ class TestOracle:
             pos = np.array([rng.uniform(-0.08, 0.08), 0.0, rng.uniform(-0.08, 0.08)])
             hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
             cfg = quick_cfg(halfwidth=hw)
-            newton = abs(solve_foot(sw, pos, cfg).signed_distance)
+            newton = abs(solve_foot(sw, pos).signed_distance)
             oracle = oracle_min_distance(sw, pos, cfg)
             assert abs(newton - oracle) <= oracle_cell_diagonal(cfg)
 
@@ -238,20 +235,16 @@ class TestRotationIsometry:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=-1.0)
-        with pytest.raises(ValueError):
             SolverConfig(oracle_grid=2)
         with pytest.raises(ValueError):
             SolverConfig(oracle_halfwidth=0.0)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         # one iteration cannot reach a 1e-12 residual on a wiggly surface
         wiggle = Wavefront.custom(
             surface=lambda x, z: 0.05 * np.sin(40.0 * x) + 0.03 * np.cos(25.0 * z)
         )
         sw = steer(wiggle, SteeringAngles(0.0, 0.0))
-        cfg = SolverConfig(max_iterations=1)
+        monkeypatch.setattr(kernels, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergence):
-            solve_foot(sw, np.array([0.08, 0.0, 0.05]), cfg)
+            solve_foot(sw, np.array([0.08, 0.0, 0.05]))
