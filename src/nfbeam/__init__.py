@@ -9,7 +9,6 @@ beam-shape and polarization analysis.
 from .analysis import (
     BeamMetrics,
     EmptyGrid,
-    LineOutsideGrid,
     PolarizationReport,
     RadiusOutOfRange,
     TransverseProfile,

@@ -1,6 +1,9 @@
 """Beam diagnostics: polarization power split, peak-direction estimation,
 transverse profiles and the geometric propagation-range estimate.
 
+A transverse profile evaluates |E| directly at points along a straight cut,
+so the cut may take any direction, such as across a steered beam's axis.
+
 Direction estimation scans field magnitude over the hemisphere rather
 than hill-climbing, because conical-wavefront beams carry ring sidelobes
 that trap local searches.  The scan works on a one-degree (azimuth,
@@ -29,14 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (
-    AXIS_INDEX,
-    FAR_FIELD_CLEARANCE_WAVELENGTHS,
-    PLANE_AXES,
-    FieldGrid,
-    ObservationGrid,
-    total_field,
-)
+from .field import FAR_FIELD_CLEARANCE_WAVELENGTHS, FieldGrid, ObservationGrid, total_field
 from .synthesis import ArrayGeometry, Excitation
 
 
@@ -46,10 +42,6 @@ class EmptyGrid(ValueError):
 
 class RadiusOutOfRange(ValueError):
     """Scan radius violates the clearance needed around the array."""
-
-
-class LineOutsideGrid(ValueError):
-    """Requested profile line is not contained in the field grid."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +66,6 @@ class TransverseProfile:
     offsets: np.ndarray
     magnitudes: np.ndarray
     first_null_radius: float | None
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.offsets.tolist(), self.magnitudes.tolist()))
 
 
 def polarization_report(fg: FieldGrid) -> PolarizationReport:
@@ -189,83 +178,52 @@ def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> 
     )
 
 
-def transverse_profile(
-    fg: FieldGrid, axis_point: np.ndarray, direction: np.ndarray
-) -> TransverseProfile:
-    """|E| along a straight cut through ``axis_point``, with first-null search.
+def first_null(offsets: np.ndarray, magnitudes: np.ndarray) -> float | None:
+    """Offset of the first null among the samples at non-negative offsets.
 
-    The cut must lie inside the grid's plane and bounds; samples are taken
-    at the grid's own resolution by bilinear interpolation.  The first null
-    is the first strict local minimum at positive offset whose prominence
-    exceeds 5% of the main-lobe peak.
+    The null is the first strict local minimum there whose prominence is at
+    least 5% of the largest |E| there; None if there is none.  Neither end
+    sample can be a minimum.  A minimum's prominence is its depth below the
+    lower of the highest samples on its two sides, each side running up to
+    the first sample lower than the minimum or to the end.
     """
-    # imported here: scipy is only needed for profiles, not on CLI start-up
-    from scipy.interpolate import RegularGridInterpolator
-    from scipy.signal import find_peaks
+    keep = offsets >= 0
+    x, s = magnitudes[keep], offsets[keep]
+    floor = 0.05 * np.max(x, initial=0.0)
+    for i in np.flatnonzero((x[1:-1] < x[:-2]) & (x[1:-1] < x[2:])) + 1:
+        # the samples below x[i], with sentinels at -1 and len(x)
+        lower = np.flatnonzero(np.r_[True, x < x[i], True]) - 1
+        j = np.searchsorted(lower, i)
+        base = min(np.max(x[lower[j - 1] + 1 : i]), np.max(x[i + 1 : lower[j]]))
+        if base - x[i] >= floor:
+            return float(s[i])
+    return None
 
-    grid = fg.grid
-    if grid.plane is None or grid.shape is None:
-        raise LineOutsideGrid("transverse profiles require a plane grid")
-    name1, name2 = PLANE_AXES[grid.plane]
-    i1, i2 = AXIS_INDEX[name1], AXIS_INDEX[name2]
-    const_axis = ({"x", "y", "z"} - {name1, name2}).pop()
-    ic = AXIS_INDEX[const_axis]
 
-    point = np.asarray(axis_point, dtype=float)
+def transverse_profile(
+    array: ArrayGeometry,
+    exc: Excitation,
+    axis_point: np.ndarray,
+    direction: np.ndarray,
+    offsets: np.ndarray,
+) -> TransverseProfile:
+    """|E| at ``axis_point + offsets * d``, d the unit ``direction``, with
+    first-null search (see :func:`first_null`).
+
+    ``offsets`` must be strictly increasing and ``direction`` nonzero; the
+    samples are evaluated directly, so the cut may take any direction.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim != 1 or not np.all(np.diff(offsets) > 0):
+        raise ValueError("offsets must be a strictly increasing 1-D array")
     d = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(d))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    d = d / norm
-    if abs(d[ic]) > 1e-12:
-        raise LineOutsideGrid(
-            f"direction {direction!r} leaves the {grid.plane} grid plane"
-        )
-    if abs(point[ic] - grid.offset) > 1e-9:
-        raise LineOutsideGrid(
-            f"axis point {axis_point!r} is off the {grid.plane} plane at "
-            f"{const_axis} = {grid.offset}"
-        )
-
-    c = np.array([point[i1], point[i2]])
-    dv = np.array([d[i1], d[i2]])
-    axes = (grid.axis1, grid.axis2)
-    s_lo, s_hi = -math.inf, math.inf
-    for comp in range(2):
-        lo, hi = float(axes[comp][0]), float(axes[comp][-1])
-        if dv[comp] == 0.0:
-            if not lo <= c[comp] <= hi:
-                raise LineOutsideGrid("axis point outside grid bounds")
-            continue
-        t1 = (lo - c[comp]) / dv[comp]
-        t2 = (hi - c[comp]) / dv[comp]
-        s_lo = max(s_lo, min(t1, t2))
-        s_hi = min(s_hi, max(t1, t2))
-    extent = min(-s_lo, s_hi)
-    step = min(
-        float(grid.axis1[1] - grid.axis1[0]), float(grid.axis2[1] - grid.axis2[0])
-    )
-    n_half = int(math.floor(extent / step + 1e-12))
-    if not math.isfinite(extent) or n_half < 1:
-        raise LineOutsideGrid("profile line has no room inside the grid bounds")
-
-    offsets = np.arange(-n_half, n_half + 1) * step
-    samples = c[None, :] + offsets[:, None] * dv[None, :]
-    for comp in range(2):
-        # the outermost sample can overshoot the grid edge by rounding
-        samples[:, comp] = np.clip(
-            samples[:, comp], float(axes[comp][0]), float(axes[comp][-1])
-        )
-    interp = RegularGridInterpolator(
-        axes, fg.magnitude().reshape(grid.shape), method="linear"
-    )
-    mags = interp(samples)
-
-    positive = mags[n_half:]
-    peaks, _ = find_peaks(-positive, prominence=0.05 * float(np.max(positive)))
-    first_null = float(offsets[n_half + peaks[0]]) if len(peaks) else None
+    points = np.asarray(axis_point, dtype=float) + offsets[:, None] * (d / norm)
+    mags = total_field(array, exc, ObservationGrid.from_points(points)).magnitude()
     return TransverseProfile(
-        offsets=offsets, magnitudes=mags, first_null_radius=first_null
+        offsets=offsets, magnitudes=mags, first_null_radius=first_null(offsets, mags)
     )
 
 

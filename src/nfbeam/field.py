@@ -3,10 +3,10 @@ polarization over observation grids.
 
 Each element radiates E = I_n * exp(-j*k*||r_n||) / ||r_n|| * u_theta with
 the theta-oriented unit polarization of a z-aligned dipole, evaluated in
-the element's own far field.  Observation points must keep a clearance of
-ten wavelengths from every element; closer points are rejected rather than
-approximated.  Per-point sums run over elements in ascending index order,
-so repeated runs are bit-identical.
+the element's own far field.  Observation points must be finite and keep a
+clearance of ten wavelengths from every element; other points are rejected
+rather than approximated.  Per-point sums run over elements in ascending
+index order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -137,12 +137,16 @@ def min_element_distances(array: ArrayGeometry, points: np.ndarray) -> np.ndarra
 
 
 def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
-    """Reject grids with points closer than ten wavelengths to any element."""
+    """Reject grids with non-finite points or points closer than ten
+    wavelengths to any element, naming the first such point."""
     dists = min_element_distances(array, grid.points)
     limit = FAR_FIELD_CLEARANCE_WAVELENGTHS * array.wavelength
-    bad = np.flatnonzero(dists < limit)
+    finite = np.isfinite(grid.points).all(axis=1)
+    bad = np.flatnonzero(~finite | (dists < limit))
     if bad.size:
         idx = int(bad[0])
+        if not finite[idx]:
+            raise ClearanceViolation(f"grid point {idx} at {grid.points[idx]} is not finite")
         if dists[idx] == 0.0:
             raise CoincidentPoint(
                 f"grid point {idx} at {grid.points[idx]} coincides with an element"

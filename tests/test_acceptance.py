@@ -201,12 +201,11 @@ def test_criterion_5_steering_accuracy():
 def test_criterion_6_bessel_profile_first_null():
     array = ArrayGeometry.half_wave(64, 64, WAVELENGTH)
     y0 = 0.5 * propagation_range(array, 0.2)
-    grid = ObservationGrid.plane_grid(
-        "xy", (-0.02, 0.02), (y0 - 2e-4, y0 + 2e-4), 321, 3
-    )
     pd = synthesize(array, steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0)))
-    fg = total_field(array, to_excitation(pd), grid)
-    prof = transverse_profile(fg, np.array([0.0, y0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    prof = transverse_profile(
+        array, to_excitation(pd), np.array([0.0, y0, 0.0]), np.array([1.0, 0.0, 0.0]),
+        np.linspace(-0.02, 0.02, 321),
+    )
     theory = 2.40483 / (K * math.sin(math.atan(0.2)))
     rel = abs(prof.first_null_radius - theory) / theory
     passed = rel <= 0.10

@@ -5,16 +5,16 @@ import pytest
 
 from nfbeam.analysis import (
     EmptyGrid,
-    LineOutsideGrid,
     RadiusOutOfRange,
     estimate_direction,
     export_report_csv,
+    first_null,
     polarization_report,
     propagation_range,
     steering_unit_vector,
     transverse_profile,
 )
-from nfbeam.field import FieldGrid, ObservationGrid, total_field
+from nfbeam.field import ClearanceViolation, FieldGrid, ObservationGrid, total_field
 from nfbeam.geometry import SteeringAngles
 from nfbeam.synthesis import ArrayGeometry, synthesize, to_excitation
 from nfbeam.wavefront import Wavefront, steer
@@ -143,6 +143,11 @@ class TestDirections:
         assert a.estimated_azimuth == b.estimated_azimuth
         assert a.estimated_elevation == b.estimated_elevation
 
+    def test_nan_radius_rejected(self):
+        arr, exc = cone_beam(8)
+        with pytest.raises(ClearanceViolation, match="grid point 0 at .* is not finite"):
+            estimate_direction(arr, exc, math.nan)
+
     def test_radius_out_of_range(self):
         arr, exc = cone_beam(8)
         with pytest.raises(RadiusOutOfRange):
@@ -170,9 +175,10 @@ class TestTransverseProfile:
         from nfbeam.synthesis import Excitation
 
         exc = Excitation(currents=np.ones(1, dtype=complex))
-        grid = ObservationGrid.plane_grid("xy", (-0.05, 0.05), (0.995, 1.005), 101, 3)
-        fg = total_field(arr, exc, grid)
-        prof = transverse_profile(fg, np.array([0.0, 1.0, 0.0]), np.array([1, 0, 0]))
+        prof = transverse_profile(
+            arr, exc, np.array([0.0, 1.0, 0.0]), np.array([1, 0, 0]),
+            np.linspace(-0.05, 0.05, 101),
+        )
         assert prof.first_null_radius is None
         positive = prof.magnitudes[len(prof.magnitudes) // 2 :]
         assert np.all(np.diff(positive) < 0)
@@ -180,9 +186,10 @@ class TestTransverseProfile:
     def test_symmetric_beam_symmetric_profile(self):
         arr, exc = cone_beam(16)
         y0 = 0.08
-        grid = ObservationGrid.plane_grid("xy", (-0.02, 0.02), (y0 - 1e-3, y0 + 1e-3), 81, 3)
-        fg = total_field(arr, exc, grid)
-        prof = transverse_profile(fg, np.array([0.0, y0, 0.0]), np.array([1, 0, 0]))
+        prof = transverse_profile(
+            arr, exc, np.array([0.0, y0, 0.0]), np.array([1, 0, 0]),
+            np.linspace(-0.02, 0.02, 81),
+        )
         sym = prof.magnitudes[::-1]
         np.testing.assert_allclose(prof.magnitudes, sym, rtol=1e-9)
         assert prof.offsets[0] == -prof.offsets[-1]
@@ -191,37 +198,84 @@ class TestTransverseProfile:
         arr, exc = cone_beam(32)
         rng_est = propagation_range(arr, 0.2)
         y0 = 0.5 * rng_est
-        grid = ObservationGrid.plane_grid(
-            "xy", (-0.02, 0.02), (y0 - 2e-4, y0 + 2e-4), 241, 3
+        prof = transverse_profile(
+            arr, exc, np.array([0.0, y0, 0.0]), np.array([1, 0, 0]),
+            np.linspace(-0.02, 0.02, 241),
         )
-        fg = total_field(arr, exc, grid)
-        prof = transverse_profile(fg, np.array([0.0, y0, 0.0]), np.array([1, 0, 0]))
         k = 2 * math.pi / WAVELENGTH
         theory = 2.40483 / (k * math.sin(math.atan(0.2)))
         assert prof.first_null_radius == pytest.approx(theory, rel=0.10)
 
-    def test_pairs_shape(self):
-        arr, exc = cone_beam(8)
-        grid = ObservationGrid.plane_grid("xy", (-0.02, 0.02), (0.05, 0.06), 21, 3)
-        fg = total_field(arr, exc, grid)
-        prof = transverse_profile(fg, np.array([0.0, 0.055, 0.0]), np.array([1, 0, 0]))
-        pairs = prof.pairs()
-        assert len(pairs) == len(prof.offsets)
-        assert pairs[0][0] == prof.offsets[0]
+    @pytest.mark.parametrize("az_deg, el_deg", [(20.0, 0.0), (0.0, 20.0), (30.0, -20.0)])
+    def test_steered_cone_first_null_against_bessel_zero(self, az_deg, el_deg):
+        # cuts across the steered axis along e1 = u x z / |u x z| and e2 = u x e1
+        arr, exc = cone_beam(64, az_deg, el_deg)
+        u = steering_unit_vector(math.radians(az_deg), math.radians(el_deg))
+        e1 = np.cross(u, [0.0, 0.0, 1.0])
+        e1 /= np.linalg.norm(e1)
+        axis_point = 0.5 * propagation_range(arr, 0.2) * u
+        theory = 2.40483 / (2 * math.pi / WAVELENGTH * math.sin(math.atan(0.2)))
+        for cut in (e1, np.cross(u, e1)):
+            prof = transverse_profile(arr, exc, axis_point, cut, np.linspace(-0.01, 0.01, 401))
+            assert prof.first_null_radius == pytest.approx(theory, rel=0.10)
 
-    def test_line_errors(self):
+    def test_cut_rejects_bad_offsets_and_direction(self):
         arr, exc = cone_beam(8)
-        grid = ObservationGrid.plane_grid("xy", (-0.02, 0.02), (0.05, 0.06), 11, 3)
-        fg = total_field(arr, exc, grid)
-        with pytest.raises(LineOutsideGrid):
-            transverse_profile(fg, np.array([0.0, 0.055, 0.5]), np.array([1, 0, 0]))
-        with pytest.raises(LineOutsideGrid):
-            transverse_profile(fg, np.array([0.0, 0.055, 0.0]), np.array([0, 0, 1]))
-        with pytest.raises(LineOutsideGrid):
-            transverse_profile(fg, np.array([5.0, 0.055, 0.0]), np.array([1, 0, 0]))
-        custom = make_field(np.array([[0.0, 0.1, 0.0]]), [0], [0], [1])
-        with pytest.raises(LineOutsideGrid):
-            transverse_profile(custom, np.zeros(3), np.array([1, 0, 0]))
+        point = np.array([0.0, 0.055, 0.0])
+        for offsets in ([0.0, 1e-3, 1e-3], [1e-3, 0.0], [[0.0, 1e-3]], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                transverse_profile(arr, exc, point, np.array([1, 0, 0]), np.array(offsets))
+        with pytest.raises(ValueError, match="nonzero"):
+            transverse_profile(arr, exc, point, np.zeros(3), np.array([0.0, 1e-3]))
+
+    def test_cut_inside_clearance_raises(self):
+        arr, exc = cone_beam(8)
+        with pytest.raises(ClearanceViolation, match="grid point 0"):
+            transverse_profile(
+                arr, exc, np.array([0.0, 0.005, 0.0]), np.array([1, 0, 0]),
+                np.array([0.0, 1e-3]),
+            )
+
+
+class TestFirstNull:
+    OFFSETS = np.arange(-2.0, 8.0)
+
+    def null(self, positive):
+        # the same values mirrored onto the negative offsets, which the rule ignores
+        x = np.asarray(positive, dtype=float)
+        return first_null(self.OFFSETS, np.concatenate([x[2:0:-1], x]))
+
+    def test_monotone_fall_has_no_null(self):
+        assert self.null([1.0, 0.9, 0.8, 0.6, 0.5, 0.3, 0.2, 0.1]) is None
+
+    def test_shallow_dip_skipped_for_next_prominent_minimum(self):
+        # the dip at offset 2 is 0.04 deep, under 5% of the peak 1.0
+        assert self.null([1.0, 0.9, 0.86, 0.9, 0.5, 0.2, 0.6, 0.55]) == 5.0
+
+    def test_first_prominent_minimum_wins_over_deeper_later_one(self):
+        assert self.null([1.0, 0.5, 0.3, 0.6, 0.1, 0.7, 0.65, 0.6]) == 2.0
+
+    def test_minimum_at_last_sample_does_not_count(self):
+        # the dip at offset 3 is 0.02 deep; the fall to 0.01 ends the samples
+        assert self.null([1.0, 0.99, 0.98, 0.97, 0.98, 0.99, 0.9, 0.01]) is None
+
+    def test_ignores_negative_offsets(self):
+        offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        assert first_null(offsets, np.array([1.0, 0.0, 1.0, 0.5, 0.2])) is None
+
+    def test_matches_find_peaks_on_random_sequences(self):
+        find_peaks = pytest.importorskip("scipy.signal").find_peaks
+        rng = np.random.default_rng(20240901)
+        mismatches = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            x = np.abs(np.cumsum(rng.normal(size=n))) + rng.uniform(0.0, 0.3, size=n)
+            offsets = np.arange(n) - int(rng.integers(0, n))
+            positive = x[offsets >= 0]
+            peaks, _ = find_peaks(-positive, prominence=0.05 * float(np.max(positive)))
+            expected = float(offsets[offsets >= 0][peaks[0]]) if len(peaks) else None
+            mismatches += first_null(offsets, x) != expected
+        assert mismatches == 0
 
 
 class TestPropagationRange:

@@ -233,7 +233,10 @@ class TestExitCodes:
 
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this one has imported scipy through other tests
-    code = "import sys, nfbeam.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys, nfbeam, nfbeam.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 

@@ -180,6 +180,14 @@ class TestClearance:
         with pytest.raises(ClearanceViolation, match="grid point 1"):
             validate_clearance(arr, grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected_with_index(self, bad):
+        arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
+        pts = np.array([[0.0, 0.2, 0.0], [0.0, bad, 0.0], [bad, 0.3, 0.0]])
+        grid = ObservationGrid.from_points(pts)
+        with pytest.raises(ClearanceViolation, match="grid point 1 at .* is not finite"):
+            total_field(arr, uniform_excitation(arr), grid)
+
     def test_coincident_point_named(self):
         arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
         grid = ObservationGrid.from_points(arr.element_positions[5][None, :])
