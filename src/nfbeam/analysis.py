@@ -16,8 +16,9 @@ elevation) lattice over [-90, 90] on both axes, in three stages:
 3. refine: the 21 x 21 tenth-of-a-degree cell around the stage-2 peak.
 
 Every direction is built from the same degree values by the same
-expressions in every stage, and the field sum is independent per point,
-so a lattice direction gets the same |E| whichever stage evaluates it.
+expressions in every stage, and the field at a point depends only on the
+point (mirror folding included, see :mod:`nfbeam.field`), so a lattice
+direction gets the same |E| whichever stage evaluates it.
 The estimate therefore equals an exhaustive one-degree scan's whenever the
 exhaustive peak lies among the marked directions.  If |E| were flat every
 coarse cell would be marked: 3,721 + 32,761 + 441 directions in the worst

@@ -5,8 +5,23 @@ Each element radiates E = I_n * exp(-j*k*||r_n||) / ||r_n|| * u_theta with
 the theta-oriented unit polarization of a z-aligned dipole, evaluated in
 the element's own far field.  Observation points must be finite and keep a
 clearance of ten wavelengths from every element; other points are rejected
-rather than approximated.  Per-point sums run over elements in ascending
-index order, so repeated runs are bit-identical.
+rather than approximated.
+
+The centred element lattice is its own mirror image in x and in z, so the
+field obeys two exact identities, with I∘Mx and I∘Mz the currents of the
+lattice reversed along x and along z:
+
+    E(-x, y, z; I) = diag(-1, 1, 1) E(x, y, z; I∘Mx)
+    E(x, y, -z; I) = diag(-1, -1, 1) E(x, y, z; I∘Mz)
+
+:func:`total_field` uses them to evaluate every point at its representative
+(|x|, y, |z|), once per mirror current that the point set needs, in one
+multi-current ``kernels.field_sum`` call.  On z = 0 a point is its own z
+mirror, so there the elements pair up across z = 0 instead: half the
+lattice carries I and I∘Mz.  A point's value depends only on the point, the
+array and the currents, never on which other points share the call, and
+per-point sums run over elements in ascending index order, so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -45,6 +60,13 @@ def frequency_to_wavelength(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT / frequency_hz
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` evenly spaced values from ``lo`` to ``hi``; exact negatives of
+    each other, end for end, when ``lo == -hi``, so the grid folds."""
+    a = np.linspace(lo, hi, n)
+    return 0.5 * (a - a[::-1]) if lo == -hi else a
+
+
 @dataclass(frozen=True)
 class ObservationGrid:
     """Observation points: a coordinate plane slice or a custom point list.
@@ -73,8 +95,8 @@ class ObservationGrid:
             raise ValueError(f"plane must be one of {sorted(PLANE_AXES)}, got {plane!r}")
         if n1 < 2 or n2 < 2:
             raise ValueError("resolution must be at least 2 per axis")
-        a1 = np.linspace(bounds1[0], bounds1[1], n1)
-        a2 = np.linspace(bounds2[0], bounds2[1], n2)
+        a1 = _axis(*bounds1, n1)
+        a2 = _axis(*bounds2, n2)
         name1, name2 = PLANE_AXES[plane]
         pts = np.empty((n1 * n2, 3))
         pts[:, AXIS_INDEX[name1]] = np.repeat(a1, n2)
@@ -158,6 +180,78 @@ def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
         )
 
 
+# A kernel call costs about (points + 400) * (2.5 + currents) per element on
+# the numpy kernel: its per-element overhead is worth some 400 points, and
+# the geometry the currents share is worth 2.5 current rows.  total_field
+# uses it only to choose how to batch the representatives into calls; the
+# values do not depend on that choice.
+_CALL_POINTS = 400
+_GEOMETRY_ROWS = 2.5
+
+
+def _plan_cost(plan) -> float:
+    """Cost of a list of calls (on z = 0, flip-code mask, first, end)."""
+    return sum(
+        (end - first + _CALL_POINTS) * (_GEOMETRY_ROWS + bin(mask).count("1") * (1 + paired))
+        for paired, mask, first, end in plan
+    )
+
+
+def _fold(points: np.ndarray):
+    """Group the points by mirror representative (|x|, y, |z|) and plan the
+    ``field_sum`` calls.
+
+    Returns the point order, each sorted point's flip code (bit 0: x < 0,
+    bit 1: z < 0), the start of each representative's run of sorted points
+    (closed by the point count), the representatives, and the calls as
+    (on z = 0, bit mask of the flip codes to evaluate, first and end
+    representative).  Each family, on and off z = 0, is one call with every
+    flip code its points need, or one call per distinct need if that is
+    cheaper (see :func:`_plan_cost`).
+    """
+    # |z| leads the sort, so the representatives on z = 0 come first; y + 0.0
+    # turns -0.0 into 0.0, so equal representatives are equal to the bit
+    order = np.lexsort((np.abs(points[:, 0]), points[:, 1] + 0.0, np.abs(points[:, 2])))
+    rep = points[order]
+    flip = (rep[:, 0] < 0.0).view(np.uint8) | ((rep[:, 2] < 0.0).view(np.uint8) << 1)
+    rep[:, 0::2] = np.abs(rep[:, 0::2])
+    rep[:, 1] += 0.0
+    first = np.ones(len(rep), bool)
+    first[1:] = (rep[1:] != rep[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    reps = rep[starts]
+    del rep
+    # regroup the representatives, each with its run of points, by key:
+    # 16 off z = 0, plus the mask of the flip codes its points need
+    key = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), flip), starts)
+    key[reps[:, 2] > 0.0] |= 16
+    perm = np.argsort(np.repeat(key, np.diff(np.append(starts, len(order)))), kind="stable")
+    order, flip, first = order[perm], flip[perm], first[perm]
+    del perm
+    starts = np.append(np.flatnonzero(first), len(order))
+    perm = np.argsort(key, kind="stable")
+    reps, key = reps[perm], key[perm]
+    edges = np.flatnonzero(np.diff(key)) + 1
+    calls = []
+    for paired in (True, False):
+        split = [
+            (paired, int(key[a]) & 15, a, b)
+            for a, b in zip(np.r_[0, edges], np.r_[edges, len(key)])
+            if (key[a] < 16) == paired
+        ]
+        if split:
+            mask = np.bitwise_or.reduce([c[1] for c in split])
+            union = [(paired, int(mask), split[0][2], split[-1][3])]
+            calls += min(union, split, key=_plan_cost)
+    return order, flip, starts, reps, calls
+
+
+def _mirrored(cur: np.ndarray, flip: int) -> np.ndarray:
+    """The (n_x, n_z) currents reversed along x for bit 0 of ``flip`` and
+    along z for bit 1: I, I∘Mx, I∘Mz or I∘Mx∘Mz."""
+    return cur[:: -1 if flip & 1 else 1, :: -1 if flip & 2 else 1]
+
+
 def total_field(
     array: ArrayGeometry,
     exc: Excitation,
@@ -165,8 +259,13 @@ def total_field(
 ) -> FieldGrid:
     """Superpose all element contributions at every grid point.
 
-    Per point, element contributions accumulate in ascending element-index
-    order; points are independent and may be evaluated in parallel.
+    Each point is evaluated at its mirror representative (|x|, y, |z|) with
+    the mirror current it needs, and signed back (see the module
+    docstring).  Points off z = 0 sum over the whole lattice with one of
+    I, I∘Mx, I∘Mz and I∘Mx∘Mz.  Points on z = 0, -0.0 included, sum over
+    the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz; the
+    middle row of an odd n_z pairs with itself, so its mirror current is 0.
+    Calls run in blocks of at most 16384 (current, point) pairs.
     """
     if exc.currents.shape != (array.num_elements,):
         raise ValueError(
@@ -174,20 +273,70 @@ def total_field(
             f"{array.num_elements} elements"
         )
     validate_clearance(array, grid)
+    npts = grid.num_points
+    ex = np.empty(npts, np.complex128)
+    ey = np.empty(npts, np.complex128)
+    ez = np.empty(npts, np.complex128)
+    if npts == 0:
+        return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
     k = wavenumber(array.wavelength)
-    ex, ey, ez = kernels.field_sum(array.element_positions, exc.currents, grid.points, k)
+    order, flip, starts, reps, calls = _fold(grid.points)
+    cur = exc.currents.reshape(array.n_x, array.n_z)
+    half = (array.n_z + 1) // 2
+    positions = array.element_positions.reshape(array.n_x, array.n_z, 3)
+    for paired, mask, lo, hi in calls:
+        codes = [f for f in range(4) if mask >> f & 1]
+        if paired:
+            elems = positions[:, :half].reshape(-1, 3)
+            rows = []
+            for f in codes:
+                mirror = _mirrored(cur, f | 2)[:, :half].copy()
+                if array.n_z % 2:
+                    mirror[:, -1] = 0.0
+                rows += [_mirrored(cur, f)[:, :half], mirror]
+        else:
+            elems = positions.reshape(-1, 3)
+            rows = [_mirrored(cur, f) for f in codes]
+        currents = np.stack([r.ravel() for r in rows])
+        slot = np.zeros(4, np.intp)
+        slot[codes] = np.arange(len(codes)) * (2 if paired else 1)
+        block = max(1, 16384 // len(currents))
+        for b0 in range(lo, hi, block):
+            b1 = min(b0 + block, hi)
+            fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k)
+            s0, s1 = starts[b0], starts[b1]
+            point = np.repeat(np.arange(b1 - b0), np.diff(starts[b0 : b1 + 1]))
+            f = flip[s0:s1]
+            row = slot[f]
+            vx, vy, vz = fx[row, point], fy[row, point], fz[row, point]
+            if paired:
+                vx -= fx[row + 1, point]
+                vy -= fy[row + 1, point]
+                vz += fz[row + 1, point]
+            # sign back: Ex flips under one of the two mirrors, Ey under z
+            np.negative(vx, out=vx, where=(f == 1) | (f == 2))
+            np.negative(vy, out=vy, where=f >= 2)
+            idx = order[s0:s1]
+            ex[idx], ey[idx], ez[idx] = vx, vy, vz
+            del fx, fy, fz, vx, vy, vz  # free this block before the next call
     return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
 
 
+_CSV_ROW = ",".join(["{:.17g}"] * 9) + "\n"
+
+
 def export_field_csv(fg: FieldGrid, path: str | Path) -> None:
-    """Write one row per grid point, row-major, 17 significant digits."""
+    """Write one row per grid point, row-major, 17 significant digits.
+
+    Rows are formatted and written 1024 at a time, so memory does not grow
+    with the grid.
+    """
     pts = fg.grid.points
-    lines = ["px_m,py_m,pz_m,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"]
-    for n in range(fg.grid.num_points):
-        lines.append(
-            f"{pts[n, 0]:.17g},{pts[n, 1]:.17g},{pts[n, 2]:.17g},"
-            f"{fg.ex[n].real:.17g},{fg.ex[n].imag:.17g},"
-            f"{fg.ey[n].real:.17g},{fg.ey[n].imag:.17g},"
-            f"{fg.ez[n].real:.17g},{fg.ez[n].imag:.17g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (pts[:, 0], pts[:, 1], pts[:, 2])
+    for e in (fg.ex, fg.ey, fg.ez):
+        columns += (e.real, e.imag)
+    with open(path, "w") as f:
+        f.write("px_m,py_m,pz_m,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez\n")
+        for s in range(0, fg.grid.num_points, 1024):
+            block = np.column_stack([c[s : s + 1024] for c in columns]).tolist()
+            f.write("".join(_CSV_ROW.format(*row) for row in block))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nfbeam import analysis, kernels
 from nfbeam.field import (
     ClearanceViolation,
     CoincidentPoint,
@@ -162,6 +163,13 @@ class TestObservationGrid:
             ObservationGrid.from_points(np.zeros((3, 2)))
 
 
+    def test_symmetric_bounds_give_exact_mirror_axis(self):
+        g = ObservationGrid.plane_grid("xy", (-0.15, 0.15), (0.05, 0.55), 81, 81)
+        assert np.array_equal(g.axis1, -g.axis1[::-1])
+        assert np.max(np.abs(g.axis1 - np.linspace(-0.15, 0.15, 81))) <= 2.8e-17
+        assert np.array_equal(g.axis2, np.linspace(0.05, 0.55, 81))
+
+
 class TestClearance:
     def test_min_element_distances_exact(self):
         arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
@@ -282,6 +290,90 @@ class TestTotalField:
         grid = ObservationGrid.from_points(np.array([[0.0, 0.1, 0.0]]))
         with pytest.raises(ValueError):
             total_field(arr, exc, grid)
+
+
+def random_currents(rng, arr):
+    n = arr.num_elements
+    return np.exp(1j * rng.uniform(0, 2 * math.pi, n)) * rng.uniform(0.5, 1.5, n)
+
+
+def plain_field(arr, currents, points):
+    """The unfolded sum: every point against every element."""
+    return kernels.field_sum(arr.element_positions, currents, points, K)
+
+
+def coarse_scan_points(radius):
+    """The direction scan's 61 x 61 coarse stage, built as analysis builds it."""
+    deg = analysis.SCAN_LATTICE_DEG[:: analysis.COARSE_STRIDE]
+    az = np.radians(np.repeat(deg, len(deg)))
+    el = np.radians(np.tile(deg, len(deg)))
+    ce = np.cos(el)
+    return radius * np.column_stack([-ce * np.sin(az), ce * np.cos(az), -np.sin(el)])
+
+
+def folding_sets(rng):
+    """Point sets that fold on x, on z, on z = 0, on all three, or not at all."""
+    ys = np.linspace(0.05, 0.4, 41)
+    # enough points that each sign class of (x, z) is its own kernel call
+    random_pts = rng.uniform(-0.1, 0.1, size=(2000, 3))
+    random_pts[:, 1] = rng.uniform(0.05, 0.3, size=2000)
+    return {
+        "default xy grid": ObservationGrid.plane_grid("xy", (-0.15, 0.15), (0.05, 0.55), 81, 81),
+        "xz grid": ObservationGrid.plane_grid("xz", (-0.1, 0.1), (-0.1, 0.1), 41, 41, offset=0.1),
+        "coarse scan": ObservationGrid.from_points(coarse_scan_points(0.3)),
+        "y axis": ObservationGrid.from_points(np.column_stack([0 * ys, ys, 0 * ys])),
+        "random": ObservationGrid.from_points(random_pts),
+    }
+
+
+class TestMirrorFolding:
+    @pytest.mark.parametrize("n_x, n_z", [(6, 8), (7, 5), (5, 6), (9, 7)])
+    def test_mirror_identities(self, rng, n_x, n_z):
+        # E(Mx p; I) = diag(-1, 1, 1) E(p; I∘Mx) and
+        # E(Mz p; I) = diag(-1, -1, +1) E(p; I∘Mz): -Mz, not Mz
+        arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
+        cur = random_currents(rng, arr)
+        pts = rng.uniform(-0.1, 0.1, size=(40, 3))
+        pts[:, 1] = rng.uniform(0.05, 0.3, size=40)
+        lattice = cur.reshape(n_x, n_z)
+        for axis, flipped, signs in ((0, lattice[::-1], (-1, 1, 1)), (2, lattice[:, ::-1], (-1, -1, 1))):
+            mirrored = pts.copy()
+            mirrored[:, axis] *= -1.0
+            lhs = plain_field(arr, cur, mirrored)
+            rhs = plain_field(arr, flipped.ravel(), pts)
+            peak = max(np.max(np.abs(e)) for e in rhs)
+            for left, right, sign in zip(lhs, rhs, signs):
+                np.testing.assert_allclose(left, sign * right, rtol=0.0, atol=1e-13 * peak)
+
+    @pytest.mark.parametrize("n_x, n_z", [(8, 8), (7, 9)])
+    def test_folded_equals_plain_sum(self, rng, n_x, n_z):
+        arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
+        cur = random_currents(rng, arr)
+        sets = folding_sets(rng)
+        # an odd n_z puts a row of elements on z = 0: points there, -0.0 too
+        xs = np.linspace(-0.1, 0.1, 21)
+        on_plane = np.column_stack([np.r_[xs, xs], np.full(42, 0.12), np.repeat([0.0, -0.0], 21)])
+        sets["z = 0 line"] = ObservationGrid.from_points(on_plane)
+        for name, grid in sets.items():
+            fg = total_field(arr, Excitation(cur), grid)
+            ref = plain_field(arr, cur, grid.points)
+            peak = max(np.max(np.abs(e)) for e in ref)
+            for got, want in zip((fg.ex, fg.ey, fg.ez), ref):
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-12 * peak, f"{name}: {err / peak:.2e} of max |E|"
+
+    def test_point_value_independent_of_its_set(self, rng):
+        arr = ArrayGeometry.half_wave(7, 8, WAVELENGTH)
+        exc = Excitation(random_currents(rng, arr))
+        for grid in folding_sets(rng).values():
+            fg = total_field(arr, exc, grid)
+            x, z = grid.points[:, 0], grid.points[:, 2]
+            # one point of each mirror class the set has
+            classes = [(x > 0) & (z > 0), x < 0, z < 0, (x < 0) & (z < 0), z == 0, x == 0]
+            for i in {int(np.argmax(c)) for c in classes if c.any()}:
+                alone = total_field(arr, exc, ObservationGrid.from_points(grid.points[i]))
+                assert alone.ex[0] == fg.ex[i] and alone.ey[0] == fg.ey[i]
+                assert alone.ez[0] == fg.ez[i]
 
 
 class TestFieldCsv:

@@ -25,9 +25,10 @@ class TestBackendSelection:
         assert kernels.resolve_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
         monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
         assert kernels.resolve_backend() == "numpy"
-        monkeypatch.setattr(kernels, "_field_sum_numpy", lambda *args: "numpy kernel")
+        rows = np.full((1, 1), 7.0 + 0j)
+        monkeypatch.setattr(kernels, "_field_sum_numpy", lambda *args: (rows, rows, rows))
         out = kernels.field_sum(np.zeros((1, 3)), np.ones(1, complex), np.ones((1, 3)), 1.0)
-        assert out == "numpy kernel"
+        assert [list(e) for e in out] == [[7.0]] * 3
 
 
 class TestNearestFeet:
@@ -88,7 +89,7 @@ class TestBackendEquivalence:
     def test_field_sum_agrees(self, rng):
         pos = rng.uniform(-0.05, 0.05, size=(100, 3))
         pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, 100))
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, 100)))
         pts = rng.uniform(-0.2, 0.2, size=(300, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=300)
         k = 2 * math.pi / 0.003
@@ -122,17 +123,42 @@ class TestFieldSum:
             pytest.skip("chunking is a numpy-path concern")
         pos = rng.uniform(-0.05, 0.05, size=(20, 3))
         pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, 20))
         pts = rng.uniform(-0.2, 0.2, size=(50, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=50)
         k = 2 * math.pi / 0.003
-        full = kernels._field_sum_numpy(pos, cur, pts, k, chunk=16384)
-        small = kernels._field_sum_numpy(pos, cur, pts, k, chunk=7)
-        for x, y in zip(full, small):
-            np.testing.assert_array_equal(x, y)
+        for nk in (1, 3):
+            cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, 20)))
+            full = kernels._field_sum_numpy(pos, cur, pts, k, chunk=16384)
+            small = kernels._field_sum_numpy(pos, cur, pts, k, chunk=7)
+            for x, y in zip(full, small):
+                np.testing.assert_array_equal(x, y)
+
+    def test_each_current_row_equals_its_own_call(self, backend, rng):
+        # the K rows share the geometry but not the rounding: every row, and
+        # every point of it, is bit-identical to a one-current, one-point call
+        pos = rng.uniform(-0.05, 0.05, size=(30, 3))
+        pos[:, 1] = 0.0
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, 30))) * rng.uniform(0.5, 2.0, (3, 30))
+        pts = rng.uniform(-0.2, 0.2, size=(40, 3))
+        pts[:, 1] = rng.uniform(0.05, 0.4, size=40)
+        k = 2 * math.pi / 0.003
+        rows = kernels.field_sum(pos, cur, pts, k)
+        assert all(e.shape == (3, 40) for e in rows)
+        for q in range(3):
+            single = kernels.field_sum(pos, cur[q], pts, k)
+            for x, y in zip(rows, single):
+                np.testing.assert_array_equal(x[q], y)
+            for p in (0, 17, 39):
+                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
+                for x, y in zip(rows, alone):
+                    np.testing.assert_array_equal(x[q, p : p + 1], y)
 
     def test_shape_validation(self, backend):
         with pytest.raises(ValueError):
             kernels.field_sum(np.zeros((2, 2)), np.ones(2, complex), np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError):
             kernels.field_sum(np.zeros((2, 3)), np.ones(3, complex), np.zeros((1, 3)), 1.0)
+        with pytest.raises(ValueError):
+            kernels.field_sum(np.zeros((2, 3)), np.ones((4, 3), complex), np.zeros((1, 3)), 1.0)
+        with pytest.raises(ValueError):
+            kernels.field_sum(np.zeros((2, 3)), np.ones((1, 1, 2), complex), np.zeros((1, 3)), 1.0)
