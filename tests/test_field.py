@@ -336,7 +336,8 @@ class TestMirrorFolding:
         pts = rng.uniform(-0.1, 0.1, size=(40, 3))
         pts[:, 1] = rng.uniform(0.05, 0.3, size=40)
         lattice = cur.reshape(n_x, n_z)
-        for axis, flipped, signs in ((0, lattice[::-1], (-1, 1, 1)), (2, lattice[:, ::-1], (-1, -1, 1))):
+        mirrors = ((0, lattice[::-1], (-1, 1, 1)), (2, lattice[:, ::-1], (-1, -1, 1)))
+        for axis, flipped, signs in mirrors:
             mirrored = pts.copy()
             mirrored[:, axis] *= -1.0
             lhs = plain_field(arr, cur, mirrored)
