@@ -180,23 +180,6 @@ def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
         )
 
 
-# A kernel call costs about (points + 400) * (2.5 + currents) per element on
-# the numpy kernel: its per-element overhead is worth some 400 points, and
-# the geometry the currents share is worth 2.5 current rows.  total_field
-# uses it only to choose how to batch the representatives into calls; the
-# values do not depend on that choice.
-_CALL_POINTS = 400
-_GEOMETRY_ROWS = 2.5
-
-
-def _plan_cost(plan) -> float:
-    """Cost of a list of calls (on z = 0, flip-code mask, first, end)."""
-    return sum(
-        (end - first + _CALL_POINTS) * (_GEOMETRY_ROWS + bin(mask).count("1") * (1 + paired))
-        for paired, mask, first, end in plan
-    )
-
-
 def _fold(points: np.ndarray):
     """Group the points by mirror representative (|x|, y, |z|) and plan the
     ``field_sum`` calls.
@@ -205,9 +188,8 @@ def _fold(points: np.ndarray):
     bit 1: z < 0), the start of each representative's run of sorted points
     (closed by the point count), the representatives, and the calls as
     (on z = 0, bit mask of the flip codes to evaluate, first and end
-    representative).  Each family, on and off z = 0, is one call with every
-    flip code its points need, or one call per distinct need if that is
-    cheaper (see :func:`_plan_cost`).
+    representative): one call per family, on and off z = 0, carrying every
+    flip code that the family's points need.
     """
     # |z| leads the sort, so the representatives on z = 0 come first; y + 0.0
     # turns -0.0 into 0.0, so equal representatives are equal to the bit
@@ -218,31 +200,14 @@ def _fold(points: np.ndarray):
     rep[:, 1] += 0.0
     first = np.ones(len(rep), bool)
     first[1:] = (rep[1:] != rep[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    reps = rep[starts]
-    del rep
-    # regroup the representatives, each with its run of points, by key:
-    # 16 off z = 0, plus the mask of the flip codes its points need
-    key = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), flip), starts)
-    key[reps[:, 2] > 0.0] |= 16
-    perm = np.argsort(np.repeat(key, np.diff(np.append(starts, len(order)))), kind="stable")
-    order, flip, first = order[perm], flip[perm], first[perm]
-    del perm
-    starts = np.append(np.flatnonzero(first), len(order))
-    perm = np.argsort(key, kind="stable")
-    reps, key = reps[perm], key[perm]
-    edges = np.flatnonzero(np.diff(key)) + 1
+    starts = np.append(np.flatnonzero(first), len(rep))
+    reps = rep[starts[:-1]]
+    on_plane = int(np.searchsorted(reps[:, 2], 0.0, side="right"))
     calls = []
-    for paired in (True, False):
-        split = [
-            (paired, int(key[a]) & 15, a, b)
-            for a, b in zip(np.r_[0, edges], np.r_[edges, len(key)])
-            if (key[a] < 16) == paired
-        ]
-        if split:
-            mask = np.bitwise_or.reduce([c[1] for c in split])
-            union = [(paired, int(mask), split[0][2], split[-1][3])]
-            calls += min(union, split, key=_plan_cost)
+    for paired, lo, hi in ((True, 0, on_plane), (False, on_plane, len(reps))):
+        if lo < hi:
+            need = np.left_shift(np.uint8(1), flip[starts[lo] : starts[hi]])
+            calls.append((paired, int(np.bitwise_or.reduce(need)), lo, hi))
     return order, flip, starts, reps, calls
 
 

@@ -314,7 +314,7 @@ def coarse_scan_points(radius):
 def folding_sets(rng):
     """Point sets that fold on x, on z, on z = 0, on all three, or not at all."""
     ys = np.linspace(0.05, 0.4, 41)
-    # enough points that each sign class of (x, z) is its own kernel call
+    # points without mirror partners, in every sign class of (x, z)
     random_pts = rng.uniform(-0.1, 0.1, size=(2000, 3))
     random_pts[:, 1] = rng.uniform(0.05, 0.3, size=2000)
     return {
