@@ -20,8 +20,8 @@ multi-current ``kernels.field_sum`` call.  On z = 0 a point is its own z
 mirror, so there the elements pair up across z = 0 instead: half the
 lattice carries I and I∘Mz.  A point's value depends only on the point, the
 array and the currents, never on which other points share the call, and
-per-point sums run over elements in ascending index order, so repeated
-runs are bit-identical.
+each point's sum over elements runs in a fixed order (see ``kernels``), so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ def total_field(
     I, I∘Mx, I∘Mz and I∘Mx∘Mz.  Points on z = 0, -0.0 included, sum over
     the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz; the
     middle row of an odd n_z pairs with itself, so its mirror current is 0.
-    Calls run in blocks of at most 16384 (current, point) pairs.
+    Calls run in blocks of at most ``kernels.PAIR_BUDGET`` (current, point)
+    pairs.
     """
     if exc.currents.shape != (array.num_elements,):
         raise ValueError(
@@ -265,7 +266,7 @@ def total_field(
         currents = np.stack([r.ravel() for r in rows])
         slot = np.zeros(4, np.intp)
         slot[codes] = np.arange(len(codes)) * (2 if paired else 1)
-        block = max(1, 16384 // len(currents))
+        block = max(1, kernels.PAIR_BUDGET // len(currents))
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
             fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k)

@@ -18,10 +18,13 @@ Two inner loops dominate runtime:
 ``field_sum`` runs numba whenever numba imports and numpy otherwise;
 :func:`resolve_backend` reports which.
 
-Per-point accumulation runs in ascending element order on both backends,
-and each point and each current row is computed on its own, so results are
-deterministic and rerun-identical, and a row of a K-current call equals the
-one-current call bit for bit.
+Each point and each current row is summed on its own: the numpy kernel
+sums a point's element row pairwise (``np.add.reduce`` along the row), the
+numba kernel in ascending element order.  So results are deterministic and
+rerun-identical, and a point's value in a row of a K-current call equals
+the one-current, one-point call bit for bit.  The numpy kernel works in
+tiles of at most :data:`PAIR_BUDGET` (point, element) pairs, which share
+each phasor and polarization across the K current rows.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 # Newton's iteration cap and residual tolerance; read at each call
 MAX_ITERATIONS = 50
 RESIDUAL_TOL = 1e-12
+
+# Work size of one field-sum step: (point, element) pairs per tile of the
+# numpy kernel, and (current row, point) pairs per field_sum call made by
+# field.total_field
+PAIR_BUDGET = 8192
 
 
 def resolve_backend() -> str:
@@ -158,42 +166,52 @@ def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
     return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2])
 
 
-def _field_sum_numpy(pos, cur, pts, k, chunk=16384):
-    # cur is (K, M); points run in blocks of chunk // K, so the (K, block)
-    # temporaries stay at most chunk long whatever K is
-    nk = cur.shape[0]
+def _field_sum_numpy(pos, cur, pts, k, chunk=PAIR_BUDGET):
+    # cur is (K, M).  Tiles of chunk // M points each take the whole element
+    # row, so no point's sum is split and a point's value does not depend on
+    # which points share its tile.  The K current rows are repeated down the
+    # tile once per call, so every current product is of two arrays of one
+    # shape: numpy computes a broadcast product with a single element in its
+    # scalar complex loop, which rounds differently from the vector loop.
+    nk, nelem = cur.shape
     npts = pts.shape[0]
-    step = max(1, chunk // max(nk, 1))
-    ex = np.zeros((nk, npts), np.complex128)
-    ey = np.zeros((nk, npts), np.complex128)
-    ez = np.zeros((nk, npts), np.complex128)
+    step = max(1, min(npts, chunk // max(nelem, 1)))
+    out = np.empty((3, nk, npts), np.complex128)
+    rows = np.repeat(cur[:, None, :], step, axis=1)
+    xe, ye, ze = (np.ascontiguousarray(c) for c in pos.T)
     for s in range(0, npts, step):
         e = min(s + step, npts)
-        px, py, pz = pts[s:e, 0], pts[s:e, 1], pts[s:e, 2]
-        for n in range(pos.shape[0]):
-            dx = px - pos[n, 0]
-            dy = py - pos[n, 1]
-            dz = pz - pos[n, 2]
-            rr = dx * dx + dy * dy
-            r = np.sqrt(rr + dz * dz)
-            rho = np.sqrt(rr)
-            ph = k * r
-            wave = np.cos(ph) - 1j * np.sin(ph)
-            on_axis = rho == 0.0
-            denom = r * np.where(on_axis, 1.0, rho)
-            scale = np.where(on_axis, 0.0, dz / denom)
-            ux = np.where(on_axis, dz / r, dx * scale)
-            uy = dy * scale
-            uz = -rho / r
-            # (scalar current * wave) / r, one row at a time: a broadcast
-            # (K, 1) current can take another complex multiply loop and
-            # change the last bit, so rows would stop matching one-row calls
+        dx = pts[s:e, 0, None] - xe
+        dy = pts[s:e, 1, None] - ye
+        dz = pts[s:e, 2, None] - ze
+        rr = dx * dx + dy * dy
+        r = np.sqrt(rr + dz * dz)
+        rho = np.sqrt(rr)
+        on_axis = None if rho.all() else rho == 0.0
+        denom = r * (rho if on_axis is None else np.where(on_axis, 1.0, rho))
+        scale = dz / denom
+        ux = dx * scale
+        uy = dy * scale
+        uz = -rho / r
+        if on_axis is not None:
+            # rho == 0: azimuth 0, so u = (dz/r, 0, 0)
+            ux[on_axis] = dz[on_axis] / r[on_axis]
+            uy[on_axis] = 0.0
+        # g = exp(-jkr) / r, built in place from cos and sin
+        ph = k * r
+        g = np.empty(r.shape, np.complex128)
+        np.cos(ph, out=g.real)
+        np.sin(ph, out=g.imag)
+        np.divide(g.real, r, out=g.real)
+        np.divide(g.imag, r, out=g.imag)
+        np.negative(g.imag, out=g.imag)
+        gu = np.empty_like(g)
+        for c, u in enumerate((ux, uy, uz)):
+            np.multiply(g.real, u, out=gu.real)
+            np.multiply(g.imag, u, out=gu.imag)
             for q in range(nk):
-                c = cur[q, n] * wave / r
-                ex[q, s:e] += c * ux
-                ey[q, s:e] += c * uy
-                ez[q, s:e] += c * uz
-    return ex, ey, ez
+                np.add.reduce(rows[q, : e - s] * gu, axis=1, out=out[c, q, s:e])
+    return out[0], out[1], out[2]
 
 
 if HAVE_NUMBA:

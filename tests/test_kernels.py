@@ -9,6 +9,7 @@ from nfbeam.geometry import SteeringAngles, steering_rotation
 from nfbeam.solver import cone_distance_closed_form
 from nfbeam.synthesis import ArrayGeometry
 from nfbeam.wavefront import Wavefront
+from test_field import element_field
 
 needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 
@@ -152,6 +153,73 @@ class TestFieldSum:
                 alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
                 for x, y in zip(rows, alone):
                     np.testing.assert_array_equal(x[q, p : p + 1], y)
+
+    @pytest.mark.parametrize("nk", [1, 3])
+    @pytest.mark.parametrize("nelem", [1, 2, 3, 9])
+    def test_point_alone_equals_point_in_tile(self, backend, rng, nelem, nk):
+        # thousands of points per tile, and tiles that end mid-call: each
+        # point's value is its one-point, one-current value, bit for bit (a
+        # broadcast product of one element rounds differently at M = 1)
+        pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
+        pos[:, 1] = 0.0
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
+        npts = 9000
+        pts = rng.uniform(-0.2, 0.2, size=(npts, 3))
+        pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
+        k = 2 * math.pi / 0.003
+        rows = kernels.field_sum(pos, cur, pts, k)
+        step = kernels.PAIR_BUDGET // nelem
+        edges = [i for s in range(step, npts, step) for i in (s - 1, s)]
+        for p in sorted({0, npts - 1, *edges, *rng.integers(0, npts, 20).tolist()}):
+            for q in range(nk):
+                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
+                for x, y in zip(rows, alone):
+                    assert x[q, p] == y[0]
+
+    def test_more_elements_than_budget(self, backend, rng):
+        # one point per tile
+        nelem = kernels.PAIR_BUDGET + 5
+        pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
+        pos[:, 1] = 0.0
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, nelem)))
+        pts = rng.uniform(-0.2, 0.2, size=(4, 3))
+        pts[:, 1] = rng.uniform(0.05, 0.4, size=4)
+        k = 2 * math.pi / 0.003
+        rows = kernels.field_sum(pos, cur, pts, k)
+        for p in range(4):
+            for q in range(3):
+                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
+                for x, y in zip(rows, alone):
+                    assert x[q, p] == y[0]
+
+    def test_on_axis_pairs_in_a_tile(self, backend, rng):
+        # a 3x3 lattice at y = 0; points at y = 0 straight along z from an
+        # element column are on the z axis (rho = 0) of all three elements of
+        # that column, and share the call with ordinary points
+        grid = np.array([-0.01, 0.0, 0.01])
+        pos = np.column_stack([np.repeat(grid, 3), np.zeros(9), np.tile(grid, 3)])
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, 9))
+        pts = rng.uniform(-0.2, 0.2, size=(30, 3))
+        pts[:, 1] = rng.uniform(0.05, 0.4, size=30)
+        pts[[4, 17], :] = [[-0.01, 0.0, 0.5], [0.01, 0.0, -0.4]]
+        k = 2 * math.pi / 0.003
+        got = np.column_stack(kernels.field_sum(pos, cur, pts, k))
+        for p in range(len(pts)):
+            want = sum(element_field(pos[n], cur[n], pts[p], k) for n in range(9))
+            np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+        for p in (4, 17):
+            alone = kernels.field_sum(pos, cur, pts[p : p + 1], k)
+            assert list(got[p]) == [e[0] for e in alone]
+
+    def test_empty_points_and_elements(self, backend):
+        k = 2 * math.pi / 0.003
+        pos = np.zeros((4, 3))
+        pts = np.ones((5, 3))
+        for cur, shape in ((np.ones(4, complex), (0,)), (np.ones((3, 4), complex), (3, 0))):
+            assert all(e.shape == shape for e in kernels.field_sum(pos, cur, np.zeros((0, 3)), k))
+        for cur, shape in ((np.ones(0, complex), (5,)), (np.ones((3, 0), complex), (3, 5))):
+            out = kernels.field_sum(np.zeros((0, 3)), cur, pts, k)
+            assert all(e.shape == shape and not e.any() for e in out)
 
     def test_shape_validation(self, backend):
         with pytest.raises(ValueError):
