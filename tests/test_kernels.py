@@ -155,39 +155,25 @@ class TestFieldSum:
                     np.testing.assert_array_equal(x[q, p : p + 1], y)
 
     @pytest.mark.parametrize("nk", [1, 3])
-    @pytest.mark.parametrize("nelem", [1, 2, 3, 9])
-    def test_point_alone_equals_point_in_tile(self, backend, rng, nelem, nk):
-        # thousands of points per tile, and tiles that end mid-call: each
-        # point's value is its one-point, one-current value, bit for bit (a
-        # broadcast product of one element rounds differently at M = 1)
+    @pytest.mark.parametrize(
+        "nelem, npts", [(1, 9000), (2, 9000), (3, 9000), (9, 9000), (kernels.PAIR_BUDGET + 5, 4)]
+    )
+    def test_point_alone_equals_point_in_tile(self, backend, rng, nelem, npts, nk):
+        # thousands of points per tile and tiles that end mid-call, or one
+        # point per tile when M exceeds the budget: each point's value is its
+        # one-point, one-current value, bit for bit (a broadcast product of
+        # one element rounds differently at M = 1)
         pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
         pos[:, 1] = 0.0
         cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
-        npts = 9000
         pts = rng.uniform(-0.2, 0.2, size=(npts, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
         k = 2 * math.pi / 0.003
         rows = kernels.field_sum(pos, cur, pts, k)
-        step = kernels.PAIR_BUDGET // nelem
+        step = max(1, kernels.PAIR_BUDGET // nelem)
         edges = [i for s in range(step, npts, step) for i in (s - 1, s)]
         for p in sorted({0, npts - 1, *edges, *rng.integers(0, npts, 20).tolist()}):
             for q in range(nk):
-                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
-                for x, y in zip(rows, alone):
-                    assert x[q, p] == y[0]
-
-    def test_more_elements_than_budget(self, backend, rng):
-        # one point per tile
-        nelem = kernels.PAIR_BUDGET + 5
-        pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
-        pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, nelem)))
-        pts = rng.uniform(-0.2, 0.2, size=(4, 3))
-        pts[:, 1] = rng.uniform(0.05, 0.4, size=4)
-        k = 2 * math.pi / 0.003
-        rows = kernels.field_sum(pos, cur, pts, k)
-        for p in range(4):
-            for q in range(3):
                 alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
                 for x, y in zip(rows, alone):
                     assert x[q, p] == y[0]
