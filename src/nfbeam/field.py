@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .synthesis import ArrayGeometry, Excitation
+from .synthesis import ArrayGeometry, Excitation, write_csv
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -288,21 +288,15 @@ def total_field(
     return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
 
 
-_CSV_ROW = ",".join(["{:.17g}"] * 9) + "\n"
-
-
 def export_field_csv(fg: FieldGrid, path: str | Path) -> None:
-    """Write one row per grid point, row-major, 17 significant digits.
+    """Write one row per grid point, row-major: the point, then re/im of Ex, Ey, Ez.
 
-    Rows are formatted and written 1024 at a time, so memory does not grow
-    with the grid.
+    Written by :func:`synthesis.write_csv`: ``%.17g`` (exact float64 round
+    trip, -0.0 as ``-0``), CSV_BLOCK_ROWS rows at a time, so memory does not
+    grow with the grid.
     """
     pts = fg.grid.points
     columns = (pts[:, 0], pts[:, 1], pts[:, 2])
     for e in (fg.ex, fg.ey, fg.ez):
         columns += (e.real, e.imag)
-    with open(path, "w") as f:
-        f.write("px_m,py_m,pz_m,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez\n")
-        for s in range(0, fg.grid.num_points, 1024):
-            block = np.column_stack([c[s : s + 1024] for c in columns]).tolist()
-            f.write("".join(_CSV_ROW.format(*row) for row in block))
+    write_csv(path, "px_m,py_m,pz_m,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez", columns)

@@ -19,3 +19,14 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def csv_oracle():
+    """The per-row formula every nfbeam CSV must reproduce byte for byte."""
+
+    def text(header, columns):
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        return header + "\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+    return text

@@ -393,6 +393,27 @@ class TestFieldCsv:
         np.testing.assert_array_equal(data[:, 3] + 1j * data[:, 4], fg.ex)
         np.testing.assert_array_equal(data[:, 7] + 1j * data[:, 8], fg.ez)
 
+    def test_bytes_over_blocks(self, tmp_path, rng, csv_oracle):
+        arr = ArrayGeometry.half_wave(6, 5, WAVELENGTH)
+        exc = Excitation(random_currents(rng, arr))
+        random_pts = rng.uniform(-0.1, 0.1, size=(1500, 3))
+        random_pts[:, 1] = rng.uniform(0.05, 0.3, size=1500)
+        grids = (
+            # symmetric on both axes, so total_field folds it; 1,681 rows
+            ObservationGrid.plane_grid("xz", (-0.1, 0.1), (-0.1, 0.1), 41, 41, offset=0.1),
+            ObservationGrid.from_points(random_pts),
+        )
+        for grid in grids:
+            fg = total_field(arr, exc, grid)
+            path = tmp_path / "field.csv"
+            export_field_csv(fg, path)
+            pts = grid.points
+            columns = (pts[:, 0], pts[:, 1], pts[:, 2])
+            for e in (fg.ex, fg.ey, fg.ez):
+                columns += (e.real, e.imag)
+            want = csv_oracle("px_m,py_m,pz_m,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez", columns)
+            assert path.read_text() == want
+
 
 class TestWavelengthHelpers:
     def test_wavenumber(self):

@@ -13,12 +13,14 @@ from nfbeam.solver import (
     solve_foot,
 )
 from nfbeam.synthesis import (
+    CSV_BLOCK_ROWS,
     ArrayGeometry,
     export_phase_csv,
     phase_shift,
     synthesize,
     to_excitation,
     wrap_phase,
+    write_csv,
 )
 from nfbeam.wavefront import Wavefront, steer
 
@@ -247,5 +249,47 @@ class TestPhaseCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 0], arr.element_positions[:, 0])
         np.testing.assert_array_equal(data[:, 1], arr.element_positions[:, 2])
+        wrapped = np.mod(pd.phases, TWO_PI)
+        np.testing.assert_array_equal(data[:, 2].view(np.int64), wrapped.view(np.int64))
+        assert np.all((data[:, 2] >= 0.0) & (data[:, 2] < TWO_PI))
         np.testing.assert_array_equal(data[:, 3], pd.phases)
         np.testing.assert_array_equal(data[:, 4], pd.signed_distances)
+
+    def test_bytes_over_blocks(self, tmp_path, csv_oracle):
+        # 1,320 rows: one full block and a partial one
+        arr = ArrayGeometry.half_wave(40, 33, WAVELENGTH)
+        pd = synthesize(arr, steer(Wavefront.cone(0.2), SteeringAngles(0.26, -0.35)))
+        path = tmp_path / "phase.csv"
+        export_phase_csv(pd, path)
+        pos = arr.element_positions
+        columns = (pos[:, 0], pos[:, 2], np.mod(pd.phases, TWO_PI), pd.phases, pd.signed_distances)
+        want = csv_oracle("x_m,z_m,phase_rad_wrapped,phase_rad_unwrapped,distance_m", columns)
+        assert path.read_text() == want
+
+
+# values where %.17g is hardest: signed zeros, subnormals, the switch to
+# exponent form below 1e-4 and at 1e17, and integers past 2**53
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, -1e-4, 9.9999999999999995e-5,
+     1e16, 1e17, 1e22, -1e22, 123456789012345678.0, 0.1, math.pi]
+)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_bytes_match_per_row_formula(self, tmp_path, rng, csv_oracle, rows):
+        spread = rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, size=rows)
+        pairs = np.repeat(rng.normal(size=(rows + 1) // 2), 2)[:rows]
+        complex_col = spread + 1j * rng.normal(size=rows)
+        columns = (
+            np.where(rng.random(rows) < 0.5, 0.0, -0.0),  # two bit patterns, one value
+            rng.choice(SPECIAL, size=rows),  # repeats within and across blocks
+            np.full(rows, 0.1),
+            pairs,  # exactly half as many distinct values as rows
+            np.where(rng.random(rows) < 0.3, rng.choice(SPECIAL, size=rows), spread),
+            complex_col.real,  # strided views, as the field exporter passes
+            complex_col.imag,
+        )
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b,c,d,e,f,g", columns)
+        assert path.read_text() == csv_oracle("a,b,c,d,e,f,g", columns)
