@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import analysis, heatmap
+from . import analysis, heatmap, kernels
 from .field import (
     PLANE_AXES,
     ClearanceViolation,
@@ -389,7 +389,11 @@ def cmd_run(cfg: SimulationConfig) -> list[Path]:
         f"{summary['power_fraction_y']:.3e}, "
         f"{summary['power_fraction_z']:.3e}"
     )
-    print(f"runtime: {elapsed:.2f} s")
+    threads = kernels.resolve_threads()
+    print(
+        f"runtime: {elapsed:.2f} s ({kernels.resolve_backend()} kernel, "
+        f"{threads} thread{'s' * (threads != 1)})"
+    )
     return paths
 
 

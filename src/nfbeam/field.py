@@ -41,6 +41,9 @@ PLANE_AXES = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FAR_FIELD_CLEARANCE_WAVELENGTHS = 10.0
 
+# (current row, point) pairs per kernels.field_sum call of total_field
+BLOCK_PAIRS = 8192
+
 
 class CoincidentPoint(ValueError):
     """Observation point coincides with an antenna element."""
@@ -230,7 +233,7 @@ def total_field(
     I, I∘Mx, I∘Mz and I∘Mx∘Mz.  Points on z = 0, -0.0 included, sum over
     the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz; the
     middle row of an odd n_z pairs with itself, so its mirror current is 0.
-    Calls run in blocks of at most ``kernels.PAIR_BUDGET`` (current, point)
+    Calls run in blocks of at most :data:`BLOCK_PAIRS` (current, point)
     pairs.
     """
     if exc.currents.shape != (array.num_elements,):
@@ -266,7 +269,7 @@ def total_field(
         currents = np.stack([r.ravel() for r in rows])
         slot = np.zeros(4, np.intp)
         slot[codes] = np.arange(len(codes)) * (2 if paired else 1)
-        block = max(1, kernels.PAIR_BUDGET // len(currents))
+        block = max(1, BLOCK_PAIRS // len(currents))
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
             fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k)

@@ -4,12 +4,13 @@ import math
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nfbeam import cli, validation
+from nfbeam import cli, kernels, validation
 from nfbeam.cli import ConfigError, SimulationConfig, load_config, main
 from nfbeam.field import ClearanceViolation
 
@@ -223,6 +224,24 @@ class TestExitCodes:
         assert err.startswith("failure: ")
         assert "config error" not in err
 
+    def test_fault_in_kernel_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the scan's coarse call spans three tiles over two workers; a fault
+        # in the share run by the worker thread must surface as exit 3
+        tiles = kernels._tiles
+
+        def faulty(elems, rows, pts, k, out, starts, *buffers):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("injected kernel fault")
+            tiles(elems, rows, pts, k, out, starts, *buffers)
+
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "_tiles", faulty)
+        path, out_dir = write_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "failure: injected kernel fault\n"
+        assert not (out_dir / "report.txt").exists()
+
     def test_success_exit_0(self, tmp_path):
         path, out_dir = write_config(tmp_path)
         assert main(["synthesize", "--config", str(path)]) == 0
@@ -290,7 +309,9 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert "peak direction" in out
         assert "polarization fractions" in out
-        assert "runtime" in out
+        threads = kernels.resolve_threads()
+        suffix = f"({kernels.resolve_backend()} kernel, {threads} thread{'s' * (threads != 1)})"
+        assert re.search(r"^runtime: \d+\.\d\d s " + re.escape(suffix) + "$", out, re.M)
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "report.csv").exists()
         report = (out_dir / "report.txt").read_text()

@@ -376,6 +376,22 @@ class TestMirrorFolding:
                 assert alone.ex[0] == fg.ex[i] and alone.ey[0] == fg.ey[i]
                 assert alone.ez[0] == fg.ez[i]
 
+    @pytest.mark.parametrize("n_x, n_z", [(8, 8), (7, 9)])
+    def test_worker_count_changes_no_bit(self, monkeypatch, rng, n_x, n_z):
+        # the numpy kernel splits its tiles over kernels.WORKERS threads
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+        arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
+        exc = Excitation(random_currents(rng, arr))
+        for name, grid in folding_sets(rng).items():
+            fields = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(kernels, "WORKERS", workers)
+                fg = total_field(arr, exc, grid)
+                fields.append((fg.ex, fg.ey, fg.ez))
+            for other in fields[1:]:
+                for x, y in zip(fields[0], other):
+                    np.testing.assert_array_equal(x, y, err_msg=name)
+
 
 class TestFieldCsv:
     def test_header_and_roundtrip(self, tmp_path):

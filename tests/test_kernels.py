@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +87,87 @@ class TestNearestFeet:
         np.testing.assert_allclose(out.signed_distance, exact, rtol=0.0, atol=1e-12)
 
 
+def field_sum_case(rng, nelem, npts, nk):
+    pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
+    pos[:, 1] = 0.0
+    cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
+    pts = rng.uniform(-0.2, 0.2, size=(npts, 3))
+    pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
+    return pos, cur, pts, 2 * math.pi / 0.003
+
+
+class TestWorkerCount:
+    # the numpy kernel splits its tiles over WORKERS threads; pinning
+    # WORKERS runs it on each count
+    @pytest.fixture(autouse=True)
+    def use_numpy(self, monkeypatch):
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+
+    @pytest.mark.parametrize("nk", [1, 3])
+    @pytest.mark.parametrize(
+        "nelem, npts",
+        [
+            (40, 2000),  # 5 tiles of 409 points, the last one short
+            (40, 500),  # 2 tiles: more workers than tiles at 3
+            (40, 300),  # a single tile
+            (40, 0),
+            (kernels.TILE_PAIRS + 5, 7),  # M above the tile budget: a point per tile
+        ],
+    )
+    def test_results_equal_for_any_worker_count(self, monkeypatch, rng, nelem, npts, nk):
+        pos, cur, pts, k = field_sum_case(rng, nelem, npts, nk)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            results.append(kernels.field_sum(pos, cur, pts, k))
+        for other in results[1:]:
+            for x, y in zip(results[0], other):
+                assert x.shape == (nk, npts)
+                np.testing.assert_array_equal(x, y)
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, rng):
+        # 10 tiles over 8 threads that the interpreter switches between every
+        # microsecond: each still writes only its own slice of the output
+        pos, cur, pts, k = field_sum_case(rng, 40, 4000, 3)
+        monkeypatch.setattr(kernels, "WORKERS", 1)
+        want = kernels.field_sum(pos, cur, pts, k)
+        monkeypatch.setattr(kernels, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = kernels.field_sum(pos, cur, pts, k)
+        finally:
+            sys.setswitchinterval(interval)
+        for x, y in zip(want, got):
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fault_in_second_share_reaches_caller(self, monkeypatch, rng, workers):
+        # 5 tiles: the point in the middle tile falls in the second share,
+        # run by a worker thread at 3 workers and by the caller at 2
+        pos, cur, pts, k = field_sum_case(rng, 40, 2000, 3)
+        step = kernels.TILE_PAIRS // 40
+        tiles = kernels._tiles
+        ran = []
+
+        class Fault(Exception):
+            pass
+
+        def faulty(elems, rows, pts, k, out, starts, *buffers):
+            ran.append(starts)
+            if any(s <= 1000 < s + step for s in starts):
+                raise Fault("second share")
+            tiles(elems, rows, pts, k, out, starts, *buffers)
+
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "_tiles", faulty)
+        alive = threading.active_count()
+        with pytest.raises(Fault, match="second share"):
+            kernels.field_sum(pos, cur, pts, k)
+        assert len(ran) == workers
+        assert threading.active_count() == alive
+
+
 @needs_numba
 class TestBackendEquivalence:
     def test_field_sum_agrees(self, rng):
@@ -156,13 +239,21 @@ class TestFieldSum:
 
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize(
-        "nelem, npts", [(1, 9000), (2, 9000), (3, 9000), (9, 9000), (kernels.PAIR_BUDGET + 5, 4)]
+        "nelem, npts",
+        [
+            (1, 9000),
+            (2, 9000),
+            (3, 9000),
+            (9, 9000),
+            (kernels.TILE_PAIRS // 2 + 5, 4),
+            (kernels.TILE_PAIRS + 5, 4),
+        ],
     )
     def test_point_alone_equals_point_in_tile(self, backend, rng, nelem, npts, nk):
         # thousands of points per tile and tiles that end mid-call, or one
-        # point per tile when M exceeds the budget: each point's value is its
-        # one-point, one-current value, bit for bit (a broadcast product of
-        # one element rounds differently at M = 1)
+        # point per tile when two do not fit or M exceeds the budget: each
+        # point's value is its one-point, one-current value, bit for bit (a
+        # broadcast product of one element rounds differently at M = 1)
         pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
         pos[:, 1] = 0.0
         cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
@@ -170,7 +261,7 @@ class TestFieldSum:
         pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
         k = 2 * math.pi / 0.003
         rows = kernels.field_sum(pos, cur, pts, k)
-        step = max(1, kernels.PAIR_BUDGET // nelem)
+        step = max(1, kernels.TILE_PAIRS // nelem)
         edges = [i for s in range(step, npts, step) for i in (s - 1, s)]
         for p in sorted({0, npts - 1, *edges, *rng.integers(0, npts, 20).tolist()}):
             for q in range(nk):
