@@ -13,7 +13,10 @@ Two inner loops dominate runtime:
   this to evaluate mirror images of points with mirrored currents.  It has
   two backends with identical semantics: ``numba`` (@njit, parallel over
   points, a loop over K inside) and ``numpy`` (vectorized, no compilation
-  required, and the reference for the numba kernel).
+  required, and the reference for the numba kernel).  The numpy kernel
+  builds each pair's phasor exp(-jkr) from one tangent, s = tan(kr/2), as
+  (1 - js)^2 / (1 + s^2); the numba kernel takes cos and sin.  The two
+  agree to a relative 1e-11.
 
 ``field_sum`` runs numba whenever numba imports and numpy otherwise;
 :func:`resolve_backend` reports which.
@@ -188,8 +191,9 @@ def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
 def _tiles(elems, rows, pts, k, out, starts, floats, cplx):
     # One worker's share: the tiles that begin at ``starts``, computed in
     # place in its own buffers.  Every operation sees the operand layout of
-    # the fresh temporary it replaces (np.cos and np.sin write into the
-    # strided halves of the complex g), so the buffers change no rounding.
+    # the fresh temporary it replaces (np.tan runs on the contiguous t; only
+    # exactly rounded arithmetic writes into the strided halves of the
+    # complex g), so the buffers change no rounding.
     xe, ye, ze = elems
     npts = pts.shape[0]
     step = floats.shape[1]
@@ -219,13 +223,18 @@ def _tiles(elems, rows, pts, k, out, starts, floats, cplx):
             # rho == 0: azimuth 0, so u = (dz/r, 0, 0)
             dx[on_axis] = dz[on_axis] / r[on_axis]
             dy[on_axis] = 0.0
-        # g = exp(-jkr) / r, built in place from cos and sin
-        np.multiply(r, k, out=t)
-        np.cos(t, out=g.real)
-        np.sin(t, out=g.imag)
-        np.divide(g.real, r, out=g.real)
-        np.divide(g.imag, r, out=g.imag)
-        np.negative(g.imag, out=g.imag)
+        # g = exp(-jkr) / r from s = tan(kr/2), with dz as scratch:
+        # exp(-jkr) = (1 - js)^2 / (1 + s^2), so g.real = (1 - s^2) / ((1 + s^2) r)
+        # and g.imag = -2s / ((1 + s^2) r)
+        np.multiply(r, 0.5 * k, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=dz)
+        np.subtract(1.0, dz, out=g.real)
+        np.add(dz, 1.0, out=dz)
+        np.multiply(dz, r, out=dz)
+        np.divide(g.real, dz, out=g.real)
+        np.multiply(t, -2.0, out=t)
+        np.divide(t, dz, out=g.imag)
         for c, u in enumerate((dx, dy, rho)):
             np.multiply(g.real, u, out=gu.real)
             np.multiply(g.imag, u, out=gu.imag)
