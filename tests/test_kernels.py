@@ -207,7 +207,7 @@ class TestFieldSum:
         # r = z exactly); k = 2 makes kr/2 = z, so the doubles next to
         # (n + 1/2) pi put tan(kr/2) near its poles and those next to n pi
         # near zero, for kr up to 1e5 rad.  Measured worst errors, in units
-        # of eps |I| / r: 2.2 from tan(kr/2), 1.8 from cos and sin.
+        # of eps |I| / r: 2.2 from tan(kr/2), 1.8 from cos and sin (numba).
         n = np.concatenate([np.arange(40), rng.integers(40, 15915, 1000)])
         z = np.concatenate([(n + 0.5) * math.pi, n[n > 0] * math.pi])
         below = np.nextafter(z, 0.0)
