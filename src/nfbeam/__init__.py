@@ -36,14 +36,11 @@ from .geometry import (
     to_primed,
 )
 from .solver import (
-    FootSolution,
-    NonConvergence,
     SolverConfig,
     SolverFailure,
     cone_distance_closed_form,
     oracle_min_distance,
     plane_distance_closed_form,
-    solve_foot,
 )
 from .synthesis import (
     ArrayGeometry,
@@ -56,7 +53,6 @@ from .synthesis import (
     wrap_phase,
 )
 from .wavefront import (
-    ApexSingularity,
     SteeredWavefront,
     Wavefront,
     steer,

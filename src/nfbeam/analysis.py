@@ -136,6 +136,16 @@ def min_scan_radius(array: ArrayGeometry) -> float:
     return array.aperture_radius + FAR_FIELD_CLEARANCE_WAVELENGTHS * array.wavelength
 
 
+def check_scan_radius(array: ArrayGeometry, radius: float) -> None:
+    """Raise :class:`RadiusOutOfRange` if ``radius`` is below :func:`min_scan_radius`."""
+    min_radius = min_scan_radius(array)
+    if radius < min_radius:
+        raise RadiusOutOfRange(
+            f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m (aperture "
+            f"radius plus {FAR_FIELD_CLEARANCE_WAVELENGTHS:g}-wavelength clearance)"
+        )
+
+
 def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> BeamMetrics:
     """Direction of maximum |E| on a hemisphere of given radius.
 
@@ -145,14 +155,9 @@ def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> 
     module docstring).  Ties go to the first direction in row-major
     (azimuth, elevation) order.  At most 36,923 directions are evaluated;
     a focused beam takes about 4,300.  The radius must be at least
-    :func:`min_scan_radius`.
+    :func:`min_scan_radius` (:func:`check_scan_radius`).
     """
-    min_radius = min_scan_radius(array)
-    if radius < min_radius:
-        raise RadiusOutOfRange(
-            f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m (aperture "
-            f"radius plus {FAR_FIELD_CLEARANCE_WAVELENGTHS:g}-wavelength clearance)"
-        )
+    check_scan_radius(array, radius)
     lattice = SCAN_LATTICE_DEG
     coarse = lattice[::COARSE_STRIDE]
     mag = _scan_magnitude(array, exc, radius, *_tensor(coarse, coarse))

@@ -31,7 +31,7 @@ from .field import (
     total_field,
 )
 from .geometry import AngleRangeError, SteeringAngles
-from .solver import NonConvergence, SolverFailure
+from .solver import SolverFailure
 from .synthesis import (
     ArrayGeometry,
     PhaseDistribution,
@@ -258,11 +258,13 @@ def analysis_radius(scn: Scenario) -> float:
     Gaussian (plane-wavefront) beams are scanned at the Fraunhofer distance
     2 D^2 / lambda of the aperture diameter D, where the peak of |E| on the
     sphere tracks the beam axis.  Either radius is raised to the scan's
-    minimum clearance.
+    minimum clearance.  A configured radius below that minimum raises
+    :class:`analysis.RadiusOutOfRange`.
     """
     cfg = scn.config
     min_radius = analysis.min_scan_radius(scn.array)
     if cfg.analysis_radius_m is not None:
+        analysis.check_scan_radius(scn.array, cfg.analysis_radius_m)
         return cfg.analysis_radius_m
     if scn.wavefront.kind == CONE:
         return max(0.5 * analysis.propagation_range(scn.array, cfg.h_over_r), min_radius)
@@ -274,13 +276,13 @@ def _synthesize(scn: Scenario) -> PhaseDistribution:
     return synthesize(scn.array, steer(scn.wavefront, scn.angles))
 
 
-def _pipeline(cfg: SimulationConfig) -> tuple[Scenario, PhaseDistribution, FieldGrid]:
-    scn = build_scenario(cfg)
+def _pipeline(scn: Scenario) -> tuple[PhaseDistribution, FieldGrid]:
+    cfg = scn.config
     pd = _synthesize(scn)
     grid = ObservationGrid.plane_grid(
         cfg.obs_plane, *cfg.obs_bounds, *cfg.obs_resolution, offset=cfg.obs_offset_m
     )
-    return scn, pd, total_field(scn.array, to_excitation(pd), grid)
+    return pd, total_field(scn.array, to_excitation(pd), grid)
 
 
 def _out(cfg: SimulationConfig, name: str) -> Path:
@@ -327,10 +329,10 @@ def write_field_outputs(cfg: SimulationConfig, fg: FieldGrid) -> list[Path]:
 
 
 def run_analysis(
-    scn: Scenario, fg: FieldGrid, pd: PhaseDistribution
+    scn: Scenario, fg: FieldGrid, pd: PhaseDistribution, radius: float
 ) -> list[tuple[str, object]]:
+    """Report entries; ``radius`` is :func:`analysis_radius`, taken before synthesis."""
     report = analysis.polarization_report(fg)
-    radius = analysis_radius(scn)
     metrics = analysis.estimate_direction(scn.array, to_excitation(pd), radius)
     entries: list[tuple[str, object]] = [
         ("beam_kind", scn.config.beam_kind),
@@ -357,13 +359,15 @@ def cmd_synthesize(cfg: SimulationConfig) -> list[Path]:
 
 
 def cmd_field(cfg: SimulationConfig) -> list[Path]:
-    _, pd, fg = _pipeline(cfg)
+    pd, fg = _pipeline(build_scenario(cfg))
     return write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
 
 
 def cmd_analyze(cfg: SimulationConfig) -> list[Path]:
-    scn, pd, fg = _pipeline(cfg)
-    entries = run_analysis(scn, fg, pd)
+    scn = build_scenario(cfg)
+    radius = analysis_radius(scn)
+    pd, fg = _pipeline(scn)
+    entries = run_analysis(scn, fg, pd, radius)
     paths = _write_report(cfg, entries)
     for key, value in entries:
         print(f"{key}: {value}")
@@ -372,9 +376,11 @@ def cmd_analyze(cfg: SimulationConfig) -> list[Path]:
 
 def cmd_run(cfg: SimulationConfig) -> list[Path]:
     start = time.perf_counter()
-    scn, pd, fg = _pipeline(cfg)
+    scn = build_scenario(cfg)
+    radius = analysis_radius(scn)
+    pd, fg = _pipeline(scn)
     paths = write_phase_outputs(cfg, pd) + write_field_outputs(cfg, fg)
-    entries = run_analysis(scn, fg, pd)
+    entries = run_analysis(scn, fg, pd, radius)
     elapsed = time.perf_counter() - start
     paths += _write_report(cfg, entries)
     summary = dict(entries)
@@ -398,7 +404,7 @@ def cmd_run(cfg: SimulationConfig) -> list[Path]:
 
 
 # internal faults: exit 3, where a pipeline's input-derived errors exit 2
-_FAILURES = (NonConvergence, SolverFailure, OSError, ValueError)
+_FAILURES = (SolverFailure, OSError, ValueError)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

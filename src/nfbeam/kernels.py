@@ -1,22 +1,22 @@
-"""Hot numeric kernels: the nearest-foot solve and the field sum.
-
-Two inner loops dominate runtime:
+"""Numeric kernels: the nearest-foot solve and the field sum.
 
 * ``nearest_feet``: each element's foot on a canonical surface, the one
-  place a wavefront kind picks its distance method.  The cone takes its
-  closed form (:func:`cone_feet`); every other surface, the plane included,
-  takes one numpy Newton solve, vectorized over elements.
+  place a wavefront kind picks its distance method and the only solver.
+  The cone takes its closed form (:func:`cone_feet`); every other surface,
+  the plane included, takes one numpy Newton solve, vectorized over
+  elements.  It runs once per phase map and is a small part of a run.
 * ``field_sum``: the per-point phasor superposition when mapping the
-  vector field, for one current vector or for K of them at once.  The K
-  excitations share each element-point distance, phase and polarization,
-  so K = 4 costs well under four single calls; ``field.total_field`` uses
-  this to evaluate mirror images of points with mirrored currents.  It has
-  two backends with identical semantics: ``numba`` (@njit, parallel over
-  points, a loop over K inside) and ``numpy`` (vectorized, no compilation
-  required, and the reference for the numba kernel).  The numpy kernel
-  builds each pair's phasor exp(-jkr) from one tangent, s = tan(kr/2), as
-  (1 - js)^2 / (1 + s^2); the numba kernel takes cos and sin.  The two
-  agree to a relative 1e-11.
+  vector field, for one current vector or for K of them at once.  It
+  dominates runtime: the field grid and the direction scan are its calls.
+  The K excitations share each element-point distance, phase and
+  polarization, so K = 4 costs well under four single calls;
+  ``field.total_field`` uses this to evaluate mirror images of points with
+  mirrored currents.  It has two backends with identical semantics:
+  ``numba`` (@njit, parallel over points, a loop over K inside) and
+  ``numpy`` (vectorized, no compilation required, and the reference for
+  the numba kernel).  The numpy kernel builds each pair's phasor exp(-jkr)
+  from one tangent, s = tan(kr/2), as (1 - js)^2 / (1 + s^2); the numba
+  kernel takes cos and sin.  The two agree to a relative 1e-11.
 
 ``field_sum`` runs numba whenever numba imports and numpy otherwise;
 :func:`resolve_backend` reports which.
@@ -62,7 +62,7 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 MAX_ITERATIONS = 50
 RESIDUAL_TOL = 1e-12
 
-# (point, element) pairs per tile of the numpy kernel
+# (point, element) pairs per tile of the numpy kernel; read at each call
 TILE_PAIRS = 16384
 
 # Threads of the numpy kernel: the CPUs this process may run on
@@ -243,17 +243,17 @@ def _tiles(elems, rows, pts, k, out, starts, floats, cplx):
                 np.add.reduce(prod, axis=1, out=out[c, q, s:e])
 
 
-def _field_sum_numpy(pos, cur, pts, k, chunk=TILE_PAIRS):
-    # cur is (K, M).  Tiles of chunk // M points each take the whole element
-    # row, so no point's sum is split and a point's value does not depend on
-    # which points share its tile, nor on which worker runs the tile.  Each
+def _field_sum_numpy(pos, cur, pts, k):
+    # cur is (K, M).  Tiles of TILE_PAIRS // M points each take the whole
+    # element row, so no point's sum is split and a point's value does not
+    # depend on which points share its tile, nor on which worker runs it.  Each
     # current product runs numpy's vector loop over one element row; at M = 1
     # the rows are repeated down the tile, since numpy multiplies by a
     # broadcast single element in its scalar complex loop, which rounds
     # differently.
     nk, nelem = cur.shape
     npts = pts.shape[0]
-    step = max(1, min(npts, chunk // max(nelem, 1)))
+    step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
     out = np.empty((3, nk, npts), np.complex128)
     rows = np.repeat(cur[:, None, :], step if nelem == 1 else 1, axis=1)
     elems = tuple(np.ascontiguousarray(c) for c in pos.T)

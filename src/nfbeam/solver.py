@@ -14,9 +14,11 @@ when the element must advance its phase to reach the wavefront (element
 below the surface), negative when it sits beyond it.  For the plane this
 reduces to the classical far-field steering phase, sign included.
 
-The plane's angle form (:func:`plane_distance_closed_form`) and a
-brute-force squared-distance minimizer over a dense grid serve as
-independent references for every solve path.
+:func:`kernels.nearest_feet` is the only solver.  This module holds its
+references: the plane's angle form (:func:`plane_distance_closed_form`),
+the cone's meridian reduction (:func:`cone_distance_closed_form`) and a
+brute-force squared-distance minimizer over a dense grid, which also backs
+:func:`synthesis.synthesize` up where Newton does not converge.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .geometry import SteeringAngles, to_primed
 from .wavefront import SteeredWavefront, surface_eval
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class NonConvergence(RuntimeError):
-    """Newton iteration did not reach the residual tolerance."""
 
 
 class SolverFailure(RuntimeError):
@@ -58,38 +56,6 @@ class SolverConfig:
             raise ValueError("oracle_grid must be at least 3")
         if self.oracle_halfwidth is not None and self.oracle_halfwidth <= 0:
             raise ValueError("oracle_halfwidth must be positive when given")
-
-
-@dataclass(frozen=True)
-class FootSolution:
-    """Converged foot of the perpendicular in the steered frame."""
-
-    foot: np.ndarray
-    signed_distance: float
-    iterations: int
-
-
-def solve_foot(w: SteeredWavefront, element_pos: np.ndarray) -> FootSolution:
-    """Nearest point on the steered wavefront from an element in the array plane.
-
-    A one-row call to :func:`kernels.nearest_feet`: the closed form for a
-    cone, Newton for any other surface.  Raises :class:`NonConvergence`
-    when Newton does not converge (callers fall back to
-    :func:`oracle_min_distance`).
-    """
-    pe = to_primed(w.rotation, element_pos)
-    batch = kernels.nearest_feet(pe[None, :], w.base)
-    if not batch.converged[0]:
-        raise NonConvergence(
-            f"Newton did not converge within {kernels.MAX_ITERATIONS} iterations "
-            f"for element ({pe[0]:.6g}, {pe[1]:.6g}, {pe[2]:.6g})"
-        )
-    x, z = float(batch.foot_x[0]), float(batch.foot_z[0])
-    return FootSolution(
-        foot=np.array([x, surface_eval(w.base, x, z), z]),
-        signed_distance=float(batch.signed_distance[0]),
-        iterations=int(batch.iterations[0]),
-    )
 
 
 def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
@@ -192,8 +158,8 @@ def cone_distance_closed_form(h_over_r: float, element_primed: np.ndarray):
     """Signed distance to the canonical cone via the meridian-plane reduction.
 
     The distance part of :func:`kernels.cone_feet`.  Sign matches
-    :func:`solve_foot` (positive below the surface).  ``element_primed`` is
-    one (3,) position (float result) or an (M, 3) stack.
+    :func:`kernels.nearest_feet` (positive below the surface).
+    ``element_primed`` is one (3,) position (float result) or an (M, 3) stack.
     """
     d, _, _ = kernels.cone_feet(h_over_r, element_primed)
     return d if d.ndim else float(d)
@@ -205,7 +171,7 @@ def oracle_signed_min_distance(
     """Oracle-backed signed distance, used when Newton declines on a surface.
 
     The sign is read off the line parameter t = f(x*, z*) - y_e at the
-    oracle's argmin, matching the :func:`solve_foot` convention.
+    oracle's argmin, matching the :func:`kernels.nearest_feet` convention.
     """
     cfg = cfg or SolverConfig()
     d, x_star, z_star = _oracle_search(w, element_pos, cfg)

@@ -11,21 +11,20 @@ distance to the wavefront, co-phasing all contributions on the surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .solver import (
-    SolverConfig,
-    SolverFailure,
-    oracle_signed_min_distance,
-    solve_foot,  # noqa: F401 - benchmark tracers look it up on this module
-)
+from .solver import SolverConfig, SolverFailure, oracle_signed_min_distance
 from .wavefront import SteeredWavefront
 
 TWO_PI = 2.0 * math.pi
+
+# Nothing calls this name: perfbench's tracer looks it up on this module in
+# every traced run.  It goes when the benchmark next changes.
+solve_foot = None
 
 
 @dataclass(frozen=True)
@@ -98,19 +97,15 @@ def phase_shift(distance, wavelength: float):
     return TWO_PI * distance / wavelength
 
 
-def synthesize(
-    array: ArrayGeometry, w: SteeredWavefront, cfg: SolverConfig | None = None
-) -> PhaseDistribution:
+def synthesize(array: ArrayGeometry, w: SteeredWavefront) -> PhaseDistribution:
     """Solve every element's distance to the steered wavefront and phase it.
 
     One batch :func:`kernels.nearest_feet` call for every wavefront kind.
-    Elements where Newton fails fall back to the brute-force oracle; only
-    if that also fails does :class:`SolverFailure` propagate.
+    Elements where Newton fails fall back to the brute-force oracle over a
+    box four times the aperture's larger side; only if that also fails does
+    :class:`SolverFailure` propagate.
     """
-    cfg = cfg or SolverConfig()
-    if cfg.oracle_halfwidth is None:
-        sx, sz = array.aperture_sides
-        cfg = replace(cfg, oracle_halfwidth=4.0 * max(sx, sz))
+    cfg = SolverConfig(oracle_halfwidth=4.0 * max(array.aperture_sides))
     pos = array.element_positions
     batch = kernels.nearest_feet(pos @ w.rotation.T, w.base)
     dist = batch.signed_distance

@@ -13,9 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .field import ObservationGrid, export_field_csv, frequency_to_wavelength, total_field
-from .geometry import SteeringAngles, steering_rotation
-from .solver import oracle_min_distance, plane_distance_closed_form, solve_foot
+from .geometry import SteeringAngles, steering_rotation, to_primed
+from .solver import oracle_min_distance, plane_distance_closed_form
 from .synthesis import (
     ArrayGeometry,
     Excitation,
@@ -57,18 +58,16 @@ def check_rotation_orthonormality(rng: np.random.Generator) -> CheckResult:
 
 
 def check_gradient_finite_difference(rng: np.random.Generator) -> CheckResult:
+    # the custom surface's analytic gradient against central differences
     worst = 0.0
-    for w in (Wavefront.cone(0.2), Wavefront.cone(0.5), _CUSTOM):
-        pts = rng.uniform(-0.5, 0.5, size=(200, 2))
-        # keep clear of the cone apex where the gradient is undefined
-        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-3]
-        for x, z in pts:
-            gx, gz = surface_gradient(w, x, z)
-            h = 1e-6 * max(1.0, math.hypot(x, z))
-            fdx = (surface_eval(w, x + h, z) - surface_eval(w, x - h, z)) / (2 * h)
-            fdz = (surface_eval(w, x, z + h) - surface_eval(w, x, z - h)) / (2 * h)
-            scale = max(math.hypot(fdx, fdz), 1e-12)
-            worst = max(worst, math.hypot(gx - fdx, gz - fdz) / scale)
+    w = _CUSTOM
+    for x, z in rng.uniform(-0.5, 0.5, size=(200, 2)):
+        gx, gz = surface_gradient(w, x, z)
+        h = 1e-6 * max(1.0, math.hypot(x, z))
+        fdx = (surface_eval(w, x + h, z) - surface_eval(w, x - h, z)) / (2 * h)
+        fdz = (surface_eval(w, x, z + h) - surface_eval(w, x, z - h)) / (2 * h)
+        scale = max(math.hypot(fdx, fdz), 1e-12)
+        worst = max(worst, math.hypot(gx - fdx, gz - fdz) / scale)
     return CheckResult("gradient_finite_difference", worst <= 1e-6, worst, 1e-6)
 
 
@@ -89,9 +88,11 @@ def check_plane_closed_form_regression(rng: np.random.Generator) -> CheckResult:
 def check_solver_oracle_equivalence(
     rng: np.random.Generator, cases: int = DEFAULT_CASES
 ) -> CheckResult:
+    # each case is a one-row kernels.nearest_feet call in the steered frame;
     # the refined oracle (grid plus golden-section polish) is far tighter
     # than its worst-case cell-diagonal bound, so this check holds the
-    # solver to 1e-7 m; a 1e-6 m error in either distance must fail it
+    # solver to 1e-7 m; a 1e-6 m error in either distance must fail it, and
+    # a row that does not converge counts as an infinite error
     threshold = 1e-7
     worst = 0.0
     detail = ""
@@ -108,11 +109,12 @@ def check_solver_oracle_equivalence(
             base = Wavefront.cone(rng.uniform(0.05, 0.5))
         sw = steer(base, angles)
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
-        solved = abs(solve_foot(sw, pos).signed_distance)
+        feet = kernels.nearest_feet(to_primed(sw.rotation, pos)[None], sw.base)
         oracle = oracle_min_distance(sw, pos)
-        worst = max(worst, abs(solved - oracle))
+        solved = abs(float(feet.signed_distance[0]))
+        worst = max(worst, abs(solved - oracle) if feet.converged[0] else math.inf)
     if worst > threshold:
-        detail = "solve_foot distances disagree with the brute-force minimization"
+        detail = "nearest_feet distances disagree with the brute-force minimization"
     return CheckResult(
         "solver_oracle_equivalence", worst <= threshold, worst, threshold, detail
     )
@@ -171,17 +173,20 @@ CHECKS: dict[str, Callable] = {
 
 
 class SelectionError(ValueError):
-    """The selection names an unknown check or no check at all, or asks for
-    fewer than one solver-oracle case."""
+    """The selection names an unknown check or no check at all, asks for
+    fewer than one solver-oracle case, or gives a negative seed."""
 
 
 def run_validation(
     only: list[str] | None = None, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES
 ) -> list[CheckResult]:
     """Run the selected checks; raises SelectionError on an unknown or empty
-    selection, or on ``cases`` below 1, before any check runs."""
+    selection, on ``cases`` below 1 or on a negative ``seed``, before any
+    check runs."""
     if cases < 1:
         raise SelectionError("--cases must be at least 1")
+    if seed < 0:
+        raise SelectionError("--seed must be a non-negative integer")
     names = list(CHECKS) if only is None else [n for n in only if n in CHECKS]
     if only is not None:
         unknown = [n for n in only if n not in CHECKS]

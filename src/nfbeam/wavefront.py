@@ -23,10 +23,6 @@ CONE = "cone"
 CUSTOM = "custom"
 
 
-class ApexSingularity(ValueError):
-    """Cone surface gradient requested at the apex, where it is undefined."""
-
-
 @dataclass(frozen=True)
 class Wavefront:
     """A canonical surface y' = f(x', z') with an analytic (or fallback) gradient.
@@ -84,31 +80,25 @@ def surface_eval(w: Wavefront, x, z):
 
 
 def surface_gradient(w: Wavefront, x, z):
-    """(df/dx, df/dz) of the canonical surface.
+    """(df/dx, df/dz) of the canonical surface, for Newton.
 
-    The cone is non-differentiable at its apex; requesting the gradient
-    there raises :class:`ApexSingularity`.  Custom surfaces without an
-    analytic gradient fall back to central finite differences with step
-    :func:`_fd_step`.
+    The plane's is zero and a custom surface's comes from its ``gradient``
+    when it has one.  Any other surface falls back to central finite
+    differences with step :func:`_fd_step`; the cone never needs them, since
+    it takes its closed form (:func:`kernels.cone_feet`).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if w.kind == PLANE:
         shape = np.broadcast(x, z).shape
         gx, gz = np.zeros(shape), np.zeros(shape)
-    elif w.kind == CONE:
-        rho = np.sqrt(x * x + z * z)
-        if np.any(rho == 0.0):
-            raise ApexSingularity("cone gradient is undefined at the apex (0, 0)")
-        gx = w.h_over_r * x / rho
-        gz = w.h_over_r * z / rho
     elif w.gradient is not None:
         gx, gz = w.gradient(x, z)
         gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
     else:
         h = _fd_step(x, z)
-        gx = (w.surface(x + h, z) - w.surface(x - h, z)) / (2.0 * h)
-        gz = (w.surface(x, z + h) - w.surface(x, z - h)) / (2.0 * h)
+        gx = (surface_eval(w, x + h, z) - surface_eval(w, x - h, z)) / (2.0 * h)
+        gz = (surface_eval(w, x, z + h) - surface_eval(w, x, z - h)) / (2.0 * h)
         gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
     if np.ndim(gx):
         return gx, gz

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from nfbeam import kernels
 from nfbeam.analysis import (
     estimate_direction,
     propagation_range,
@@ -23,7 +24,6 @@ from nfbeam.solver import (
     oracle_cell_diagonal,
     oracle_min_distance,
     plane_distance_closed_form,
-    solve_foot,
 )
 from nfbeam.synthesis import ArrayGeometry, synthesize, to_excitation
 from nfbeam.validation import run_validation
@@ -90,9 +90,11 @@ def test_criterion_2_solver_oracle_equivalence():
         sw = steer(base, angles)
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
         cfg = SolverConfig(oracle_halfwidth=4.0 * max(0.01, float(np.linalg.norm(pos))))
-        newton = abs(solve_foot(sw, pos).signed_distance)
+        feet = kernels.nearest_feet(to_primed(sw.rotation, pos)[None], sw.base)
         oracle = oracle_min_distance(sw, pos, cfg)
-        worst_ratio = max(worst_ratio, abs(newton - oracle) / oracle_cell_diagonal(cfg))
+        # a row that does not converge counts as an infinite error
+        err = abs(abs(feet.signed_distance[0]) - oracle) if feet.converged[0] else math.inf
+        worst_ratio = max(worst_ratio, err / oracle_cell_diagonal(cfg))
     elapsed = time.perf_counter() - start
     passed = worst_ratio <= 1.0 and elapsed < 60.0
     report(

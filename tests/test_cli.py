@@ -211,6 +211,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 2
         assert "config error: scan radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_scan_radius_rejected_before_synthesis(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "synthesize", lambda *args: calls.append(args))
+        path, out_dir = write_config(tmp_path)
+        path.write_text(path.read_text() + "analysis:\n  radius_m: 0.01\n")
+        assert main([command, "--config", str(path), "--nx", "4", "--nz", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scan radius 0.01 m must be at least 0.034219 m "
+            "(aperture radius plus 10-wavelength clearance)\n"
+        )
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_internal_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a non-finite field makes the heatmap writer raise ValueError
         def nan_field(array, exc, grid):
@@ -382,6 +396,12 @@ class TestValidateCommand:
         assert captured.err == "config error: --cases must be at least 1\n"
         assert captured.out == ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --seed must be a non-negative integer\n"
+        assert captured.out == ""
+
     def test_exception_inside_check_exits_3(self, capsys, monkeypatch):
         def clearance_fault(rng):
             raise ClearanceViolation("observation point inside the clearance")
@@ -394,13 +414,13 @@ class TestValidateCommand:
 
     def test_solver_oracle_draws_custom_surface_last(self, monkeypatch):
         kinds = []
-        solve_foot = validation.solve_foot
+        nearest_feet = kernels.nearest_feet
 
-        def recording(sw, pos):
-            kinds.append(sw.base.kind)
-            return solve_foot(sw, pos)
+        def recording(elem_primed, wavefront):
+            kinds.append(wavefront.kind)
+            return nearest_feet(elem_primed, wavefront)
 
-        monkeypatch.setattr(validation, "solve_foot", recording)
+        monkeypatch.setattr(kernels, "nearest_feet", recording)
         res = validation.check_solver_oracle_equivalence(np.random.default_rng(7), cases=4)
         assert res.passed
         assert kinds[4:] == ["custom"]

@@ -86,6 +86,16 @@ class TestNearestFeet:
         exact = np.linalg.norm(pe - [0.0, radius, 0.0], axis=1) - radius
         np.testing.assert_allclose(out.signed_distance, exact, rtol=0.0, atol=1e-12)
 
+    def test_nonconvergence_reported(self, monkeypatch):
+        # one iteration cannot reach a 1e-12 residual on a wiggly surface
+        wiggle = Wavefront.custom(
+            surface=lambda x, z: 0.05 * np.sin(40.0 * x) + 0.03 * np.cos(25.0 * z)
+        )
+        monkeypatch.setattr(kernels, "MAX_ITERATIONS", 1)
+        out = kernels.nearest_feet(np.array([[0.08, 0.0, 0.05]]), wiggle)
+        assert not out.converged[0]
+        assert np.isnan(out.signed_distance[0])
+
 
 def field_sum_case(rng, nelem, npts, nk):
     pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
@@ -226,7 +236,7 @@ class TestFieldSum:
         assert np.all(np.abs(ex - want) <= 3 * np.finfo(float).eps / z)
         assert not ey.any() and not ez.any()
 
-    def test_chunked_equals_unchunked(self, backend, rng):
+    def test_chunked_equals_unchunked(self, backend, rng, monkeypatch):
         if backend == "numba":
             pytest.skip("chunking is a numpy-path concern")
         pos = rng.uniform(-0.05, 0.05, size=(20, 3))
@@ -234,11 +244,12 @@ class TestFieldSum:
         pts = rng.uniform(-0.2, 0.2, size=(50, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=50)
         k = 2 * math.pi / 0.003
-        for nk in (1, 3):
-            cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, 20)))
-            full = kernels._field_sum_numpy(pos, cur, pts, k, chunk=16384)
-            small = kernels._field_sum_numpy(pos, cur, pts, k, chunk=7)
-            for x, y in zip(full, small):
+        currents = [np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, 20))) for nk in (1, 3)]
+        full = [kernels._field_sum_numpy(pos, cur, pts, k) for cur in currents]
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 7)
+        for cur, want in zip(currents, full):
+            small = kernels._field_sum_numpy(pos, cur, pts, k)
+            for x, y in zip(want, small):
                 np.testing.assert_array_equal(x, y)
 
     def test_each_current_row_equals_its_own_call(self, backend, rng):

@@ -6,16 +6,14 @@ import pytest
 from nfbeam import kernels
 from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
-    NonConvergence,
     SolverConfig,
     cone_distance_closed_form,
     oracle_cell_diagonal,
     oracle_min_distance,
     oracle_signed_min_distance,
     plane_distance_closed_form,
-    solve_foot,
 )
-from nfbeam.wavefront import Wavefront, steer, surface_eval, surface_gradient
+from nfbeam.wavefront import Wavefront, steer, surface_eval
 
 WAVELENGTH = 0.003
 # point-to-ray reduction in the meridian half-plane: rho * (h/r) / sqrt(1 + (h/r)^2)
@@ -24,6 +22,17 @@ UNSTEERED_CONE_D_RHO1 = 0.2 / math.sqrt(1.04)
 
 def quick_cfg(halfwidth=None, grid=501):
     return SolverConfig(oracle_grid=grid, oracle_halfwidth=halfwidth)
+
+
+def nearest_row(sw, pos):
+    """One-row ``kernels.nearest_feet`` call for an element in the array plane."""
+    return kernels.nearest_feet(to_primed(sw.rotation, pos)[None], sw.base)
+
+
+def foot_3d(sw, feet):
+    """The row's foot in the steered frame, its y read off the surface."""
+    x, z = float(feet.foot_x[0]), float(feet.foot_z[0])
+    return np.array([x, surface_eval(sw.base, x, z), z])
 
 
 class TestPlaneClosedForm:
@@ -50,9 +59,9 @@ class TestSolveFootPlane:
             angles = SteeringAngles(az, el)
             sw = steer(Wavefront.plane(), angles)
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            sol = solve_foot(sw, pos)
+            feet = nearest_row(sw, pos)
             ref = plane_distance_closed_form(angles, pos)
-            assert sol.signed_distance == pytest.approx(ref, abs=1e-12)
+            assert feet.signed_distance[0] == pytest.approx(ref, abs=1e-12)
 
     def test_gaussian_regression_32x32(self):
         # the numerical solve must reproduce the closed-form steering phase
@@ -66,22 +75,22 @@ class TestSolveFootPlane:
                 angles = SteeringAngles.from_degrees(az_deg, el_deg)
                 sw = steer(Wavefront.plane(), angles)
                 for pos in array.element_positions[::7]:
-                    sol = solve_foot(sw, pos)
+                    feet = nearest_row(sw, pos)
                     ref = plane_distance_closed_form(angles, pos)
-                    worst = max(worst, abs(sol.signed_distance - ref))
+                    worst = max(worst, abs(feet.signed_distance[0] - ref))
         assert worst <= 1e-9
 
 
 class TestSolveFootCone:
     def test_unsteered_element_at_unit_radius(self):
         sw = steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0))
-        sol = solve_foot(sw, np.array([1.0, 0.0, 0.0]))
-        assert sol.signed_distance == pytest.approx(UNSTEERED_CONE_D_RHO1, abs=1e-12)
+        feet = nearest_row(sw, np.array([1.0, 0.0, 0.0]))
+        assert feet.signed_distance[0] == pytest.approx(UNSTEERED_CONE_D_RHO1, abs=1e-12)
 
     def test_unsteered_element_at_origin(self):
         sw = steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0))
-        sol = solve_foot(sw, np.array([0.0, 0.0, 0.0]))
-        assert sol.signed_distance == 0.0
+        feet = nearest_row(sw, np.array([0.0, 0.0, 0.0]))
+        assert feet.signed_distance[0] == 0.0
 
     def test_matches_meridian_reduction_when_steered(self, rng):
         for _ in range(50):
@@ -89,9 +98,9 @@ class TestSolveFootCone:
             az, el = rng.uniform(-0.9, 0.9, size=2)
             sw = steer(Wavefront.cone(m), SteeringAngles(az, el))
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            sol = solve_foot(sw, pos)
+            feet = nearest_row(sw, pos)
             ref = cone_distance_closed_form(m, to_primed(sw.rotation, pos))
-            assert sol.signed_distance == pytest.approx(ref, abs=1e-12)
+            assert feet.signed_distance[0] == pytest.approx(ref, abs=1e-12)
 
     def test_residual_certificate_and_normal_alignment(self, rng):
         for _ in range(40):
@@ -99,20 +108,23 @@ class TestSolveFootCone:
             az, el = rng.uniform(-0.9, 0.9, size=2)
             sw = steer(Wavefront.cone(m), SteeringAngles(az, el))
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            sol = solve_foot(sw, pos)
+            feet = nearest_row(sw, pos)
+            foot = foot_3d(sw, feet)
             pe = to_primed(sw.rotation, pos)
-            assert abs(sol.signed_distance) == pytest.approx(
-                np.linalg.norm(sol.foot - pe), abs=1e-9
+            assert abs(feet.signed_distance[0]) == pytest.approx(
+                np.linalg.norm(foot - pe), abs=1e-9
             )
-            x, y, z = sol.foot
+            x, y, z = foot
             if x == 0.0 and z == 0.0:
                 continue  # apex foot: surface normal undefined there
-            fx, fz = surface_gradient(sw.base, x, z)
-            t = surface_eval(sw.base, x, z) - pe[1]
+            # the cone's gradient away from the apex: (h/r) (x, z) / rho
+            rho = math.sqrt(x * x + z * z)
+            fx, fz = m * x / rho, m * z / rho
+            t = y - pe[1]
             g1 = x - pe[0] + t * fx
             g2 = z - pe[2] + t * fz
             assert max(abs(g1), abs(g2)) <= 1e-10
-            v = sol.foot - pe
+            v = foot - pe
             if np.linalg.norm(v) > 1e-12:
                 n = np.array([fx, -1.0, fz])
                 sinang = np.linalg.norm(np.cross(v, n)) / (
@@ -177,7 +189,7 @@ class TestOracle:
             pos = np.array([rng.uniform(-0.08, 0.08), 0.0, rng.uniform(-0.08, 0.08)])
             hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
             cfg = quick_cfg(halfwidth=hw)
-            newton = abs(solve_foot(sw, pos).signed_distance)
+            newton = abs(nearest_row(sw, pos).signed_distance[0])
             oracle = oracle_min_distance(sw, pos, cfg)
             assert abs(newton - oracle) <= oracle_cell_diagonal(cfg)
 
@@ -186,7 +198,7 @@ class TestOracle:
             m = rng.uniform(0.1, 0.4)
             sw = steer(Wavefront.cone(m), SteeringAngles(*rng.uniform(-0.7, 0.7, 2)))
             pos = np.array([rng.uniform(-0.05, 0.05), 0.0, rng.uniform(-0.05, 0.05)])
-            newton = solve_foot(sw, pos).signed_distance
+            newton = nearest_row(sw, pos).signed_distance[0]
             signed = oracle_signed_min_distance(sw, pos, quick_cfg())
             assert math.copysign(1.0, signed) == math.copysign(1.0, newton) or abs(
                 newton
@@ -203,10 +215,10 @@ class TestRotationIsometry:
             angles = SteeringAngles(*rng.uniform(-1.0, 1.0, size=2))
             sw = steer(Wavefront.cone(0.2), angles)
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            a = solve_foot(sw, pos)
-            b = solve_foot(unsteered, to_primed(sw.rotation, pos))
-            assert a.signed_distance == b.signed_distance
-            assert np.array_equal(a.foot, b.foot)
+            a = nearest_row(sw, pos)
+            b = nearest_row(unsteered, to_primed(sw.rotation, pos))
+            assert a.signed_distance[0] == b.signed_distance[0]
+            assert np.array_equal(foot_3d(sw, a), foot_3d(unsteered, b))
 
     def test_plane_solve_in_original_frame(self, rng):
         # solving against the tilted plane expressed in the original frame
@@ -227,8 +239,8 @@ class TestRotationIsometry:
             original_frame = steer(tilted, SteeringAngles(0.0, 0.0))
             primed_frame = steer(Wavefront.plane(), angles)
             pos = np.array([rng.uniform(-0.1, 0.1), 0.0, rng.uniform(-0.1, 0.1)])
-            d_orig = solve_foot(original_frame, pos).signed_distance
-            d_primed = solve_foot(primed_frame, pos).signed_distance
+            d_orig = nearest_row(original_frame, pos).signed_distance[0]
+            d_primed = nearest_row(primed_frame, pos).signed_distance[0]
             assert d_orig == pytest.approx(d_primed, abs=1e-12)
 
 
@@ -238,13 +250,3 @@ class TestConfigValidation:
             SolverConfig(oracle_grid=2)
         with pytest.raises(ValueError):
             SolverConfig(oracle_halfwidth=0.0)
-
-    def test_nonconvergence_reported(self, monkeypatch):
-        # one iteration cannot reach a 1e-12 residual on a wiggly surface
-        wiggle = Wavefront.custom(
-            surface=lambda x, z: 0.05 * np.sin(40.0 * x) + 0.03 * np.cos(25.0 * z)
-        )
-        sw = steer(wiggle, SteeringAngles(0.0, 0.0))
-        monkeypatch.setattr(kernels, "MAX_ITERATIONS", 1)
-        with pytest.raises(NonConvergence):
-            solve_foot(sw, np.array([0.08, 0.0, 0.05]))

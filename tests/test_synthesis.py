@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from nfbeam import kernels
-from nfbeam.geometry import SteeringAngles
+from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
     SolverConfig,
     cone_distance_closed_form,
     oracle_signed_min_distance,
     plane_distance_closed_form,
-    solve_foot,
 )
 from nfbeam.synthesis import (
     CSV_BLOCK_ROWS,
@@ -119,7 +118,8 @@ class TestSynthesize:
         sw = steer(Wavefront.cone(0.25), SteeringAngles.from_degrees(15.0, -20.0))
         pd = synthesize(arr, sw)
         for n in range(0, arr.num_elements, 5):
-            ref = solve_foot(sw, arr.element_positions[n]).signed_distance
+            pe = to_primed(sw.rotation, arr.element_positions[n])
+            ref = kernels.nearest_feet(pe[None], sw.base).signed_distance[0]
             assert pd.signed_distances[n] == pytest.approx(ref, abs=1e-12)
 
     def test_azimuth_only_symmetry_in_z(self):
@@ -183,10 +183,11 @@ class TestSynthesize:
         sw = steer(wiggle, SteeringAngles(0.0, 0.0))
         arr = ArrayGeometry.half_wave(2, 2, WAVELENGTH)
         monkeypatch.setattr(kernels, "MAX_ITERATIONS", 1)
-        cfg = SolverConfig(oracle_halfwidth=0.05, oracle_grid=201)
+        # synthesize's oracle box: four times the aperture's larger side
+        cfg = SolverConfig(oracle_halfwidth=4.0 * max(arr.aperture_sides))
         feet = kernels.nearest_feet(arr.element_positions, wiggle)
         assert not feet.converged.any()
-        pd = synthesize(arr, sw, cfg)
+        pd = synthesize(arr, sw)
         ref = [oracle_signed_min_distance(sw, p, cfg) for p in arr.element_positions]
         np.testing.assert_array_equal(pd.signed_distances, ref)
 
