@@ -403,8 +403,9 @@ def cmd_run(cfg: SimulationConfig) -> list[Path]:
     return paths
 
 
-# internal faults: exit 3, where a pipeline's input-derived errors exit 2
-_FAILURES = (SolverFailure, OSError, ValueError)
+# internal faults: exit 3, where a pipeline's input-derived errors exit 2; a
+# grid too large for memory is one (numpy's "Unable to allocate ...")
+_FAILURES = (SolverFailure, OSError, ValueError, MemoryError)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

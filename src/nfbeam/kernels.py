@@ -21,24 +21,39 @@
 ``field_sum`` runs numba whenever numba imports and numpy otherwise;
 :func:`resolve_backend` reports which.
 
-Each point and each current row is summed on its own: the numpy kernel
-sums a point's element row pairwise (``np.add.reduce`` along the row), the
-numba kernel in ascending element order.  So results are deterministic and
-rerun-identical, and a point's value in a row of a K-current call equals
-the one-current, one-point call bit for bit.
+Each point and each current row is summed on its own, so results are
+deterministic and rerun-identical, and a point's value in a row of a
+K-current call equals the one-current, one-point call bit for bit.  The
+numba kernel sums in ascending element order.  The numpy kernel factors
+the sum over element columns: maximal runs of consecutive elements with
+equal x and y.  A lattice stored row-major with z fastest, as
+``field.total_field`` passes it, has one column per lattice column; if the
+runs differ in length, or there is only one run, every element is its own
+column.  All elements of a column see a point at the same horizontal
+distance rho and azimuth phi, so with w = I exp(-jkr) / r^2 and dz the
+point's z minus the element's,
+
+    Ex = sum_c cos(phi_c) S_c,  Ey = sum_c sin(phi_c) S_c,  S_c = sum_z w dz,
+    Ez = -sum_c rho_c sum_z w.
+
+rho, cos and sin are computed once per (point, column); a point at rho = 0
+takes azimuth 0 for that column, so its u is (dz/r, 0, 0).  Each column is
+summed over z in ascending element order, then the weighted column sums
+over the columns pairwise (``np.add.reduce`` along the row of columns).
 
 The numpy kernel works in tiles of at most :data:`TILE_PAIRS` (point,
-element) pairs, which share each phasor and polarization across the K
-current rows.  A call splits its tiles into up to :data:`WORKERS`
+element) pairs, which share each phasor and azimuth across the K current
+rows.  A call splits its tiles into up to :data:`WORKERS`
 contiguous shares, one per CPU in the process's affinity mask
 (:func:`resolve_threads` reports the count): it starts a thread for
 each share but the last, runs the last itself and joins the threads before
 it returns, so no thread outlives a call.  numpy releases the GIL inside
 each operation on a tile, so the shares run in parallel.  Each share
-computes in place in its own buffers, 96 bytes per (point, element) pair
-of a tile (1.5 MiB at 16,384 pairs), and writes only its own points,
-so results do not depend on the number of workers.  A fault in any share is
-raised to the caller.
+computes in place in its own buffers, 80 bytes per (point, element) pair
+of a tile (1.25 MiB at 16,384 pairs) and 72 + 48 K bytes per (point,
+column) for K current rows, and writes only its own points, so results do
+not depend on the number of workers.  A fault in any share is raised to
+the caller.
 """
 
 from __future__ import annotations
@@ -188,87 +203,126 @@ def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
     return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2])
 
 
-def _tiles(elems, rows, pts, k, out, starts, floats, cplx):
+def _column_length(pos):
+    # elements per column: the common length of the maximal runs of
+    # consecutive elements with equal x and y when there are two runs or
+    # more, else 1
+    nelem = pos.shape[0]
+    first = np.ones(nelem, bool)
+    first[1:] = (pos[1:, :2] != pos[:-1, :2]).any(axis=1)
+    runs = np.diff(np.append(np.flatnonzero(first), nelem))
+    return int(runs[0]) if runs.size > 1 and (runs == runs[0]).all() else 1
+
+
+def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # One worker's share: the tiles that begin at ``starts``, computed in
     # place in its own buffers.  Every operation sees the operand layout of
-    # the fresh temporary it replaces (np.tan runs on the contiguous t; only
+    # the fresh temporary it replaces (np.tan runs on the contiguous s; only
     # exactly rounded arithmetic writes into the strided halves of the
-    # complex g), so the buffers change no rounding.
-    xe, ye, ze = elems
+    # complex w), so the buffers change no rounding.  Pair arrays are
+    # (z, point, column): the column sums reduce the leading axis, one z
+    # after the other, with numpy's vector loop over the (point, column)
+    # plane.  Two columns or more keep that plane from collapsing into the
+    # reduced axis, where numpy would sum pairwise instead.
+    xy, ze = cols
+    floats, cplx, col_floats, col_weights, col_cplx = buffers
+    nz, _, ncol = ze.shape
     npts = pts.shape[0]
-    step = floats.shape[1]
+    step = col_floats.shape[1]
     for s in starts:
         e = min(s + step, npts)
-        dx, dy, dz, rho, r, t = floats[:, : e - s]
-        g, gu, prod = cplx[:, : e - s]
-        np.subtract(pts[s:e, 0, None], xe, out=dx)
-        np.subtract(pts[s:e, 1, None], ye, out=dy)
-        np.subtract(pts[s:e, 2, None], ze, out=dz)
-        np.multiply(dx, dx, out=rho)
-        np.multiply(dy, dy, out=t)
-        np.add(rho, t, out=rho)
-        np.multiply(dz, dz, out=t)
-        np.add(rho, t, out=r)
-        np.sqrt(r, out=r)
-        np.sqrt(rho, out=rho)
+        n = e - s
+        # per (point, column): rho^2 and the weights (cos, sin, -rho) of the
+        # column sums, complex with imaginary parts 0, so that one complex
+        # product weights the three sums with the roundings of real ones;
+        # per current row and (point, column): the sums of I wz (twice) and
+        # of I w
+        weights = col_weights[:, :n]
+        cs, rho = weights.real[:2], weights.real[2]
+        sq, rho2 = col_floats[:2, :n], col_floats[2, :n]
+        sums = col_cplx[:, :, :n]
+        np.subtract(pts[s:e, :2].T[:, :, None], xy, out=cs)
+        np.multiply(cs, cs, out=sq)
+        np.add(sq[0], sq[1], out=rho2)
+        np.sqrt(rho2, out=rho)
         on_axis = None if rho.all() else rho == 0.0
-        np.multiply(r, rho if on_axis is None else np.where(on_axis, 1.0, rho), out=t)
-        np.divide(dz, t, out=t)
-        # dx, dy and rho become the polarization u = (ux, uy, uz)
-        np.multiply(dx, t, out=dx)
-        np.multiply(dy, t, out=dy)
-        np.divide(rho, r, out=rho)
-        np.negative(rho, out=rho)
+        np.divide(cs, rho if on_axis is None else np.where(on_axis, 1.0, rho), out=cs)
         if on_axis is not None:
-            # rho == 0: azimuth 0, so u = (dz/r, 0, 0)
-            dx[on_axis] = dz[on_axis] / r[on_axis]
-            dy[on_axis] = 0.0
-        # g = exp(-jkr) / r from s = tan(kr/2), with dz as scratch:
-        # exp(-jkr) = (1 - js)^2 / (1 + s^2), so g.real = (1 - s^2) / ((1 + s^2) r)
-        # and g.imag = -2s / ((1 + s^2) r)
-        np.multiply(r, 0.5 * k, out=t)
+            # rho == 0: azimuth 0
+            cs[0][on_axis] = 1.0
+            cs[1][on_axis] = 0.0
+        np.negative(rho, out=rho)
+        # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2), and wz = w dz;
+        # exp(-jkr) = (1 - js)^2 / (1 + s^2), so w.real = (1 - s^2) / d and
+        # w.imag = -2s / d with d = (1 + s^2) r^2
+        size = nz * n * ncol
+        dz, r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats)
+        w, wz, prod = (c[:size].reshape(nz, n, ncol) for c in cplx)
+        np.subtract(pts[s:e, 2, None], ze, out=dz)
+        np.multiply(dz, dz, out=t)
+        np.add(rho2, t, out=r2)
+        np.sqrt(r2, out=t)
+        np.multiply(t, 0.5 * k, out=t)
         np.tan(t, out=t)
-        np.multiply(t, t, out=dz)
-        np.subtract(1.0, dz, out=g.real)
-        np.add(dz, 1.0, out=dz)
-        np.multiply(dz, r, out=dz)
-        np.divide(g.real, dz, out=g.real)
+        np.multiply(t, t, out=s2)
+        np.add(s2, 1.0, out=w.real)
+        np.multiply(w.real, r2, out=r2)
+        np.subtract(1.0, s2, out=s2)
+        np.divide(s2, r2, out=w.real)
         np.multiply(t, -2.0, out=t)
-        np.divide(t, dz, out=g.imag)
-        for c, u in enumerate((dx, dy, rho)):
-            np.multiply(g.real, u, out=gu.real)
-            np.multiply(g.imag, u, out=gu.imag)
-            for q in range(rows.shape[0]):
-                np.multiply(rows[q, : e - s], gu, out=prod)
-                np.add.reduce(prod, axis=1, out=out[c, q, s:e])
+        np.divide(t, r2, out=w.imag)
+        np.multiply(w.real, dz, out=wz.real)
+        np.multiply(w.imag, dz, out=wz.imag)
+        # Ex and Ey are the column sums of I wz weighted by cos and sin, Ez
+        # the column sums of I w weighted by -rho, each then summed over the
+        # columns, for all current rows at once
+        for q in range(rows.shape[0]):
+            np.multiply(rows[q, :, :n], wz, out=prod)
+            np.add.reduce(prod, axis=0, out=sums[0, q])
+            np.multiply(rows[q, :, :n], w, out=prod)
+            np.add.reduce(prod, axis=0, out=sums[2, q])
+        np.copyto(sums[1], sums[0])
+        np.multiply(sums, weights[:, None], out=sums)
+        np.add.reduce(sums, axis=3, out=out[:, :, s:e])
 
 
 def _field_sum_numpy(pos, cur, pts, k):
     # cur is (K, M).  Tiles of TILE_PAIRS // M points each take the whole
     # element row, so no point's sum is split and a point's value does not
     # depend on which points share its tile, nor on which worker runs it.  Each
-    # current product runs numpy's vector loop over one element row; at M = 1
-    # the rows are repeated down the tile, since numpy multiplies by a
-    # broadcast single element in its scalar complex loop, which rounds
+    # current product runs numpy's vector loop over a row of columns; at
+    # M = 1 the currents are repeated down the tile, since numpy multiplies
+    # by a broadcast single element in its scalar complex loop, which rounds
     # differently.
     nk, nelem = cur.shape
     npts = pts.shape[0]
+    nz = _column_length(pos)
+    ncol = nelem // nz
     step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
     out = np.empty((3, nk, npts), np.complex128)
-    rows = np.repeat(cur[:, None, :], step if nelem == 1 else 1, axis=1)
-    elems = tuple(np.ascontiguousarray(c) for c in pos.T)
+    rows = cur.reshape(nk, ncol, nz).transpose(0, 2, 1)[:, :, None, :]
+    rows = np.repeat(rows, step if nelem == 1 else 1, axis=2)
+    cols = (
+        np.ascontiguousarray(pos[::nz, :2].T[:, None, :]),
+        np.ascontiguousarray(pos[:, 2].reshape(ncol, nz).T[:, None, :]),
+    )
     starts = range(0, npts, step)
     nw = max(1, min(WORKERS, len(starts)))
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]
     # the shares' buffers come from the calling thread: allocated in the
     # workers, they land in per-thread malloc arenas that stay resident
-    floats = np.empty((nw, 6, step, nelem))
-    cplx = np.empty((nw, 3, step, nelem), np.complex128)
+    buffers = (
+        np.empty((nw, 4, step * nelem)),
+        np.empty((nw, 3, step * nelem), np.complex128),
+        np.empty((nw, 3, step, ncol)),
+        np.zeros((nw, 3, step, ncol), np.complex128),
+        np.empty((nw, 3, nk, step, ncol), np.complex128),
+    )
     faults = [None] * (nw - 1)
 
     def share(w):
         try:
-            _tiles(elems, rows, pts, k, out, shares[w], floats[w], cplx[w])
+            _tiles(cols, rows, pts, k, out, shares[w], *(b[w] for b in buffers))
         except BaseException as exc:  # re-raised by the calling thread
             faults[w] = exc
 
@@ -278,7 +332,7 @@ def _field_sum_numpy(pos, cur, pts, k):
     # the calling thread runs the last share and joins the others, even when
     # its own share raises
     try:
-        _tiles(elems, rows, pts, k, out, shares[-1], floats[-1], cplx[-1])
+        _tiles(cols, rows, pts, k, out, shares[-1], *(b[-1] for b in buffers))
     finally:
         for t in threads:
             t.join()

@@ -238,6 +238,20 @@ class TestExitCodes:
         assert err.startswith("failure: ")
         assert "config error" not in err
 
+    @pytest.mark.parametrize("command", ["field", "run"])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # what numpy raises for an observation grid too large to allocate
+        message = "Unable to allocate 596. GiB for an array with shape (40000000000,)"
+
+        def out_of_memory(array, exc, grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "total_field", out_of_memory)
+        path, out_dir = write_config(tmp_path)
+        assert main([command, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"failure: {message}\n"
+        assert not (out_dir / "field.csv").exists()
+
     def test_fault_in_kernel_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         # the scan's coarse call spans three tiles over two workers; a fault
         # in the share run by the worker thread must surface as exit 3

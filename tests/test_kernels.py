@@ -106,6 +106,50 @@ def field_sum_case(rng, nelem, npts, nk):
     return pos, cur, pts, 2 * math.pi / 0.003
 
 
+def lattice(n_x, n_z):
+    return ArrayGeometry.half_wave(n_x, n_z, 0.003).element_positions
+
+
+def z_per_column(rng):
+    pos = lattice(8, 8).reshape(8, 8, 3).copy()
+    pos[:, :, 2] += rng.uniform(-0.002, 0.002, (8, 1))
+    return pos.reshape(-1, 3)
+
+
+# element layouts of the numpy kernel's column factoring, with the column
+# length it finds in each
+LATTICES = {
+    "8x8": (lambda rng: lattice(8, 8), 8),
+    "7x5": (lambda rng: lattice(7, 5), 5),
+    # the z <= 0 half that total_field sums points on z = 0 over
+    "half_5x17": (lambda rng: lattice(5, 17).reshape(5, 17, 3)[:, :9].reshape(-1, 3), 9),
+    # a single column is summed as columns of one
+    "nx1": (lambda rng: lattice(1, 9), 1),
+    "nz1": (lambda rng: lattice(9, 1), 1),
+    "z_per_column": (z_per_column, 8),
+    # runs of 8 and a last run of 7: every element is its own column
+    "unequal_runs": (lambda rng: lattice(8, 8)[:-1], 1),
+}
+
+
+def lattice_case(rng, layout, npts, nk):
+    """A lattice case of field_sum_case's kind, with a point straight along z
+    from each of three columns (rho = 0 for that column)."""
+    pos = LATTICES[layout][0](rng)
+    _, cur, pts, k = field_sum_case(rng, len(pos), npts, nk)
+    for p, n in zip((1, npts // 2, npts - 2), rng.integers(0, len(pos), 3)):
+        pts[p] = [pos[n, 0], pos[n, 1], rng.uniform(0.05, 0.2)]
+    return pos, cur, pts, k
+
+
+def test_column_length():
+    rng = np.random.default_rng(0)
+    for make, nz in LATTICES.values():
+        assert kernels._column_length(make(rng)) == nz
+    assert kernels._column_length(rng.uniform(size=(30, 3))) == 1
+    assert kernels._column_length(np.zeros((0, 3))) == 1
+
+
 class TestWorkerCount:
     # the numpy kernel splits its tiles over WORKERS threads; pinning
     # WORKERS runs it on each count
@@ -133,6 +177,20 @@ class TestWorkerCount:
         for other in results[1:]:
             for x, y in zip(results[0], other):
                 assert x.shape == (nk, npts)
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("nk", [1, 3])
+    @pytest.mark.parametrize("layout", LATTICES)
+    def test_lattice_results_equal_for_any_worker_count(self, monkeypatch, rng, layout, nk):
+        # tiles of 3 points, split over 1, 2 and 3 workers
+        pos, cur, pts, k = lattice_case(rng, layout, 40, nk)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            results.append(kernels.field_sum(pos, cur, pts, k))
+        for other in results[1:]:
+            for x, y in zip(results[0], other):
                 np.testing.assert_array_equal(x, y)
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, rng):
@@ -261,13 +319,25 @@ class TestFieldSum:
         pts = rng.uniform(-0.2, 0.2, size=(40, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=40)
         k = 2 * math.pi / 0.003
+        self.check_rows_alone(pos, cur, pts, k, (0, 17, 39))
+
+    @pytest.mark.parametrize("layout", LATTICES)
+    def test_lattice_current_rows_equal_their_own_calls(self, backend, rng, monkeypatch, layout):
+        pos, cur, pts, k = lattice_case(rng, layout, 40, 3)
+        cur *= rng.uniform(0.5, 2.0, cur.shape)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        self.check_rows_alone(pos, cur, pts, k, (0, 1, 17, 20, 38, 39))
+
+    @staticmethod
+    def check_rows_alone(pos, cur, pts, k, points):
+        nk, npts = len(cur), len(pts)
         rows = kernels.field_sum(pos, cur, pts, k)
-        assert all(e.shape == (3, 40) for e in rows)
-        for q in range(3):
+        assert all(e.shape == (nk, npts) for e in rows)
+        for q in range(nk):
             single = kernels.field_sum(pos, cur[q], pts, k)
             for x, y in zip(rows, single):
                 np.testing.assert_array_equal(x[q], y)
-            for p in (0, 17, 39):
+            for p in points:
                 alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
                 for x, y in zip(rows, alone):
                     np.testing.assert_array_equal(x[q, p : p + 1], y)
@@ -303,6 +373,28 @@ class TestFieldSum:
                 alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
                 for x, y in zip(rows, alone):
                     assert x[q, p] == y[0]
+
+    @pytest.mark.parametrize("nk", [1, 3])
+    @pytest.mark.parametrize("layout", LATTICES)
+    def test_lattice_point_alone_equals_point_in_tile(self, backend, rng, monkeypatch, layout, nk):
+        # tiles of 3 points, the last one short: every point, on the axis of
+        # a column or not, is its one-point, one-current value, bit for bit
+        pos, cur, pts, k = lattice_case(rng, layout, 20, nk)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        rows = kernels.field_sum(pos, cur, pts, k)
+        for p in range(len(pts)):
+            for q in range(nk):
+                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
+                for x, y in zip(rows, alone):
+                    np.testing.assert_array_equal(x[q, p], y[0])
+
+    @pytest.mark.parametrize("layout", LATTICES)
+    def test_lattice_matches_element_sum(self, backend, rng, layout):
+        pos, cur, pts, k = lattice_case(rng, layout, 12, 1)
+        got = np.column_stack(kernels.field_sum(pos, cur[0], pts, k))
+        for p in range(len(pts)):
+            want = sum(element_field(pos[n], cur[0, n], pts[p], k) for n in range(len(pos)))
+            np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
     def test_on_axis_pairs_in_a_tile(self, backend, rng):
         # a 3x3 lattice at y = 0; points at y = 0 straight along z from an
