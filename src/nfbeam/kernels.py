@@ -217,7 +217,7 @@ def _column_length(pos):
 def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # One worker's share: the tiles that begin at ``starts``, computed in
     # place in its own buffers.  Every operation sees the operand layout of
-    # the fresh temporary it replaces (np.tan runs on the contiguous s; only
+    # the fresh temporary it replaces (np.tan runs on the contiguous t; only
     # exactly rounded arithmetic writes into the strided halves of the
     # complex w), so the buffers change no rounding.  Pair arrays are
     # (z, point, column): the column sums reduce the leading axis, one z
