@@ -395,11 +395,8 @@ def cmd_run(cfg: SimulationConfig) -> list[Path]:
         f"{summary['power_fraction_y']:.3e}, "
         f"{summary['power_fraction_z']:.3e}"
     )
-    threads = kernels.resolve_threads()
-    print(
-        f"runtime: {elapsed:.2f} s ({kernels.resolve_backend()} kernel, "
-        f"{threads} thread{'s' * (threads != 1)})"
-    )
+    threads = kernels.WORKERS
+    print(f"runtime: {elapsed:.2f} s (numpy kernel, {threads} thread{'s' * (threads != 1)})")
     return paths
 
 

@@ -11,22 +11,14 @@
   The K excitations share each element-point distance, phase and
   polarization, so K = 4 costs well under four single calls;
   ``field.total_field`` uses this to evaluate mirror images of points with
-  mirrored currents.  It has two backends with identical semantics:
-  ``numba`` (@njit, parallel over points, a loop over K inside) and
-  ``numpy`` (vectorized, no compilation required, and the reference for
-  the numba kernel).  The numpy kernel builds each pair's phasor exp(-jkr)
-  from one tangent, s = tan(kr/2), as (1 - js)^2 / (1 + s^2); the numba
-  kernel takes cos and sin.  The two agree to a relative 1e-11.
-
-``field_sum`` runs numba whenever numba imports and numpy otherwise;
-:func:`resolve_backend` reports which.
+  mirrored currents.  It is vectorized numpy and builds each pair's phasor
+  exp(-jkr) from one tangent, s = tan(kr/2), as (1 - js)^2 / (1 + s^2).
 
 Each point and each current row is summed on its own, so results are
 deterministic and rerun-identical, and a point's value in a row of a
 K-current call equals the one-current, one-point call bit for bit.  The
-numba kernel sums in ascending element order.  The numpy kernel factors
-the sum over element columns: maximal runs of consecutive elements with
-equal x and y.  A lattice stored row-major with z fastest, as
+kernel factors the sum over element columns: maximal runs of consecutive
+elements with equal x and y.  A lattice stored row-major with z fastest, as
 ``field.total_field`` passes it, has one column per lattice column; if the
 runs differ in length, or there is only one run, every element is its own
 column.  All elements of a column see a point at the same horizontal
@@ -41,19 +33,17 @@ takes azimuth 0 for that column, so its u is (dz/r, 0, 0).  Each column is
 summed over z in ascending element order, then the weighted column sums
 over the columns pairwise (``np.add.reduce`` along the row of columns).
 
-The numpy kernel works in tiles of at most :data:`TILE_PAIRS` (point,
-element) pairs, which share each phasor and azimuth across the K current
-rows.  A call splits its tiles into up to :data:`WORKERS`
-contiguous shares, one per CPU in the process's affinity mask
-(:func:`resolve_threads` reports the count): it starts a thread for
-each share but the last, runs the last itself and joins the threads before
-it returns, so no thread outlives a call.  numpy releases the GIL inside
-each operation on a tile, so the shares run in parallel.  Each share
-computes in place in its own buffers, 80 bytes per (point, element) pair
-of a tile (1.25 MiB at 16,384 pairs) and 72 + 48 K bytes per (point,
-column) for K current rows, and writes only its own points, so results do
-not depend on the number of workers.  A fault in any share is raised to
-the caller.
+The kernel works in tiles of at most :data:`TILE_PAIRS` (point, element)
+pairs, which share each phasor and azimuth across the K current rows.  A
+call splits its tiles into up to :data:`WORKERS` contiguous shares, one per
+CPU in the process's affinity mask: it starts a thread for each share but
+the last, runs the last itself and joins the threads before it returns, so
+no thread outlives a call.  numpy releases the GIL inside each operation on
+a tile, so the shares run in parallel.  Each share computes in place in its
+own buffers, 80 bytes per (point, element) pair of a tile (1.25 MiB at
+16,384 pairs) and 72 + 48 K bytes per (point, column) for K current rows,
+and writes only its own points, so results do not depend on the number of
+workers.  A fault in any share is raised to the caller.
 """
 
 from __future__ import annotations
@@ -66,13 +56,6 @@ import numpy as np
 
 from .wavefront import CONE, Wavefront, surface_eval, surface_gradient, surface_hessian
 
-try:
-    from numba import get_num_threads, njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
 # Newton's iteration cap and residual tolerance; read at each call
 MAX_ITERATIONS = 50
 RESIDUAL_TOL = 1e-12
@@ -84,14 +67,14 @@ TILE_PAIRS = 16384
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+# Placeholders read by perfbench's provenance and warm-up until the benchmark
+# next changes: numpy is the only field kernel, numba is never imported
+HAVE_NUMBA = False
+
+
 def resolve_backend() -> str:
-    """The ``field_sum`` backend: ``"numba"`` when numba imports, else ``"numpy"``."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_threads() -> int:
-    """Threads a ``field_sum`` call runs on: numba's count, or :data:`WORKERS`."""
-    return get_num_threads() if HAVE_NUMBA else WORKERS
+    """Placeholder: the field kernel, always ``"numpy"``."""
+    return "numpy"
 
 
 class FootBatch(NamedTuple):
@@ -286,15 +269,40 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         np.add.reduce(sums, axis=3, out=out[:, :, s:e])
 
 
-def _field_sum_numpy(pos, cur, pts, k):
-    # cur is (K, M).  Tiles of TILE_PAIRS // M points each take the whole
-    # element row, so no point's sum is split and a point's value does not
-    # depend on which points share its tile, nor on which worker runs it.  Each
-    # current product runs numpy's vector loop over a row of columns; at
-    # M = 1 the currents are repeated down the tile, since numpy multiplies
-    # by a broadcast single element in its scalar complex loop, which rounds
+def field_sum(
+    positions: np.ndarray,
+    currents: np.ndarray,
+    points: np.ndarray,
+    k: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Superpose per-element spherical-wave contributions at each point.
+
+    ``currents`` is one excitation, shape (M,), or K of them, shape (K, M);
+    the complex (Ex, Ey, Ez) arrays come back as (P,) or (K, P) to match.
+    The K excitations share every distance, phase and polarization
+    evaluation, and each row equals a call with that row alone, bit for
+    bit.  Points must not coincide with element positions (guaranteed by
+    the caller's clearance check).
+    """
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    cur = np.ascontiguousarray(currents, dtype=np.complex128)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must have shape (M, 3), got {pos.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
+    if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
+        raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
+    # Tiles of TILE_PAIRS // M points each take the whole element row, so no
+    # point's sum is split and a point's value does not depend on which
+    # points share its tile, nor on which worker runs it.  Each current
+    # product runs numpy's vector loop over a row of columns; at M = 1 the
+    # currents are repeated down the tile, since numpy multiplies by a
+    # broadcast single element in its scalar complex loop, which rounds
     # differently.
-    nk, nelem = cur.shape
+    k = float(k)
+    nk = cur.shape[0] if cur.ndim == 2 else 1
+    nelem = pos.shape[0]
     npts = pts.shape[0]
     nz = _column_length(pos)
     ncol = nelem // nz
@@ -339,85 +347,5 @@ def _field_sum_numpy(pos, cur, pts, k):
     for exc in faults:
         if exc is not None:
             raise exc
-    return out[0], out[1], out[2]
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _field_sum_nb(pos, cur, pts, k):
-        nk = cur.shape[0]
-        npts = pts.shape[0]
-        nelem = pos.shape[0]
-        ex = np.empty((nk, npts), np.complex128)
-        ey = np.empty((nk, npts), np.complex128)
-        ez = np.empty((nk, npts), np.complex128)
-        for p in prange(npts):
-            px = pts[p, 0]
-            py = pts[p, 1]
-            pz = pts[p, 2]
-            ax = np.zeros(nk, np.complex128)
-            ay = np.zeros(nk, np.complex128)
-            az = np.zeros(nk, np.complex128)
-            for n in range(nelem):
-                dx = px - pos[n, 0]
-                dy = py - pos[n, 1]
-                dz = pz - pos[n, 2]
-                rr = dx * dx + dy * dy
-                r = np.sqrt(rr + dz * dz)
-                rho = np.sqrt(rr)
-                ph = k * r
-                e = complex(np.cos(ph), -np.sin(ph))
-                if rho > 0.0:
-                    scale = dz / (r * rho)
-                    ux = dx * scale
-                    uy = dy * scale
-                    uz = -rho / r
-                else:
-                    ux = dz / r
-                    uy = 0.0
-                    uz = 0.0
-                for q in range(nk):
-                    c = cur[q, n] * e / r
-                    ax[q] += c * ux
-                    ay[q] += c * uy
-                    az[q] += c * uz
-            for q in range(nk):
-                ex[q, p] = ax[q]
-                ey[q, p] = ay[q]
-                ez[q, p] = az[q]
-        return ex, ey, ez
-
-
-def field_sum(
-    positions: np.ndarray,
-    currents: np.ndarray,
-    points: np.ndarray,
-    k: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Superpose per-element spherical-wave contributions at each point.
-
-    ``currents`` is one excitation, shape (M,), or K of them, shape (K, M);
-    the complex (Ex, Ey, Ez) arrays come back as (P,) or (K, P) to match.
-    The K excitations share every distance, phase and polarization
-    evaluation, and each row equals a call with that row alone, bit for
-    bit.  Points must not coincide with element positions (guaranteed by
-    the caller's clearance check).
-    """
-    pos = np.ascontiguousarray(positions, dtype=np.float64)
-    cur = np.ascontiguousarray(currents, dtype=np.complex128)
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must have shape (M, 3), got {pos.shape}")
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
-    if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
-        raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
-    rows = cur if cur.ndim == 2 else cur[None]
-    if HAVE_NUMBA:
-        ex, ey, ez = _field_sum_nb(pos, rows, pts, float(k))
-    else:
-        ex, ey, ez = _field_sum_numpy(pos, rows, pts, float(k))
-    if cur.ndim == 1:
-        return ex[0], ey[0], ez[0]
+    ex, ey, ez = out if cur.ndim == 2 else out[:, 0]
     return ex, ey, ez

@@ -6,16 +6,6 @@ C0 = 299_792_458.0
 WAVELENGTH_100GHZ = C0 / FREQ_100GHZ
 
 
-def pytest_configure(config):
-    # numba is optional; naming its warning class in the ini filter would
-    # make pytest warn on every test when numba is not importable
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return
-    config.addinivalue_line("filterwarnings", "ignore::numba.core.errors.NumbaWarning")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -262,7 +262,6 @@ class TestExitCodes:
                 raise ValueError("injected kernel fault")
             tiles(elems, rows, pts, k, out, starts, *buffers)
 
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
         monkeypatch.setattr(kernels, "WORKERS", 2)
         monkeypatch.setattr(kernels, "_tiles", faulty)
         path, out_dir = write_config(tmp_path)
@@ -337,8 +336,8 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert "peak direction" in out
         assert "polarization fractions" in out
-        threads = kernels.resolve_threads()
-        suffix = f"({kernels.resolve_backend()} kernel, {threads} thread{'s' * (threads != 1)})"
+        threads = kernels.WORKERS
+        suffix = f"(numpy kernel, {threads} thread{'s' * (threads != 1)})"
         assert re.search(r"^runtime: \d+\.\d\d s " + re.escape(suffix) + "$", out, re.M)
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "report.csv").exists()

@@ -379,7 +379,6 @@ class TestMirrorFolding:
     @pytest.mark.parametrize("n_x, n_z", [(8, 8), (7, 9)])
     def test_worker_count_changes_no_bit(self, monkeypatch, rng, n_x, n_z):
         # the numpy kernel splits its tiles over kernels.WORKERS threads
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
         arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
         exc = Excitation(random_currents(rng, arr))
         for name, grid in folding_sets(rng).items():

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 
@@ -13,25 +14,42 @@ from nfbeam.synthesis import ArrayGeometry
 from nfbeam.wavefront import Wavefront
 from test_field import element_field
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
+# a fresh interpreter, with the directories in argv first on sys.path, makes
+# one small field_sum call and prints whether numba was imported and the
+# result's bytes
+FIELD_SUM_PROBE = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import nfbeam
+from nfbeam import kernels
+rng = np.random.default_rng(0)
+pos = rng.uniform(-0.05, 0.05, (12, 3))
+cur = np.exp(1j * rng.uniform(0.0, 6.3, (2, 12)))
+pts = rng.uniform(0.05, 0.2, (30, 3))
+out = np.stack(kernels.field_sum(pos, cur, pts, 2000.0))
+print('numba' in sys.modules, out.tobytes().hex())
+"""
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+
+def test_numba_on_the_path_is_not_imported(tmp_path):
+    # an empty numba package first on sys.path changes neither what is
+    # imported nor any bit of the field
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text("")
+
+    def probe(*path):
+        run = [sys.executable, "-c", FIELD_SUM_PROBE, *path]
+        return subprocess.run(run, capture_output=True, text=True, check=True).stdout.split()
+
+    imported, stubbed = probe(str(tmp_path))
+    assert imported == "False"
+    assert stubbed == probe()[1]
 
 
 def random_primed_elements(rng, n=200):
     pe = rng.uniform(-0.1, 0.1, size=(n, 3))
     return pe
-
-
-class TestBackendSelection:
-    def test_backend_follows_numba_import(self, monkeypatch):
-        assert kernels.resolve_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        assert kernels.resolve_backend() == "numpy"
-        rows = np.full((1, 1), 7.0 + 0j)
-        monkeypatch.setattr(kernels, "_field_sum_numpy", lambda *args: (rows, rows, rows))
-        out = kernels.field_sum(np.zeros((1, 3)), np.ones(1, complex), np.ones((1, 3)), 1.0)
-        assert [list(e) for e in out] == [[7.0]] * 3
 
 
 class TestNearestFeet:
@@ -153,10 +171,6 @@ def test_column_length():
 class TestWorkerCount:
     # the numpy kernel splits its tiles over WORKERS threads; pinning
     # WORKERS runs it on each count
-    @pytest.fixture(autouse=True)
-    def use_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize(
         "nelem, npts",
@@ -236,29 +250,15 @@ class TestWorkerCount:
         assert threading.active_count() == alive
 
 
-@needs_numba
-class TestBackendEquivalence:
-    def test_field_sum_agrees(self, rng):
-        pos = rng.uniform(-0.05, 0.05, size=(100, 3))
-        pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, 100)))
-        pts = rng.uniform(-0.2, 0.2, size=(300, 3))
-        pts[:, 1] = rng.uniform(0.05, 0.4, size=300)
-        k = 2 * math.pi / 0.003
-        a = kernels._field_sum_nb(pos, cur, pts, k)
-        b = kernels._field_sum_numpy(pos, cur, pts, k)
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(x, y, rtol=1e-11, atol=1e-13)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+# "kernel" takes one value: it keeps the kernel's name, [numpy], at the end of
+# every test id here
+@pytest.mark.parametrize("kernel", ["numpy"])
 class TestFieldSum:
     @pytest.fixture(autouse=True)
-    def use_backend(self, backend, monkeypatch):
-        # field_sum picks its kernel from HAVE_NUMBA; pinning it runs each backend
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", backend == "numba")
+    def named(self, kernel):
+        pass
 
-    def test_point_on_element_z_axis(self, backend):
+    def test_point_on_element_z_axis(self):
         # rho == 0 branch: azimuth defaults to 0, u = (dz/r, 0, 0)
         pos = np.array([[0.01, 0.0, 0.02]])
         cur = np.array([1.0 + 0.0j])
@@ -270,12 +270,12 @@ class TestFieldSum:
         assert ey[0] == 0.0
         assert abs(ez[0]) <= 1e-15
 
-    def test_phasor_matches_exp_over_kr(self, backend, rng):
+    def test_phasor_matches_exp_over_kr(self, rng):
         # one element at the origin and points on its z axis (u = (1, 0, 0),
         # r = z exactly); k = 2 makes kr/2 = z, so the doubles next to
         # (n + 1/2) pi put tan(kr/2) near its poles and those next to n pi
         # near zero, for kr up to 1e5 rad.  Measured worst errors, in units
-        # of eps |I| / r: 2.2 from tan(kr/2), 1.8 from cos and sin (numba).
+        # of eps |I| / r: 2.2 from tan(kr/2), 1.8 from cos and sin.
         n = np.concatenate([np.arange(40), rng.integers(40, 15915, 1000)])
         z = np.concatenate([(n + 0.5) * math.pi, n[n > 0] * math.pi])
         below = np.nextafter(z, 0.0)
@@ -294,23 +294,21 @@ class TestFieldSum:
         assert np.all(np.abs(ex - want) <= 3 * np.finfo(float).eps / z)
         assert not ey.any() and not ez.any()
 
-    def test_chunked_equals_unchunked(self, backend, rng, monkeypatch):
-        if backend == "numba":
-            pytest.skip("chunking is a numpy-path concern")
+    def test_chunked_equals_unchunked(self, rng, monkeypatch):
         pos = rng.uniform(-0.05, 0.05, size=(20, 3))
         pos[:, 1] = 0.0
         pts = rng.uniform(-0.2, 0.2, size=(50, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=50)
         k = 2 * math.pi / 0.003
         currents = [np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, 20))) for nk in (1, 3)]
-        full = [kernels._field_sum_numpy(pos, cur, pts, k) for cur in currents]
+        full = [kernels.field_sum(pos, cur, pts, k) for cur in currents]
         monkeypatch.setattr(kernels, "TILE_PAIRS", 7)
         for cur, want in zip(currents, full):
-            small = kernels._field_sum_numpy(pos, cur, pts, k)
+            small = kernels.field_sum(pos, cur, pts, k)
             for x, y in zip(want, small):
                 np.testing.assert_array_equal(x, y)
 
-    def test_each_current_row_equals_its_own_call(self, backend, rng):
+    def test_each_current_row_equals_its_own_call(self, rng):
         # the K rows share the geometry but not the rounding: every row, and
         # every point of it, is bit-identical to a one-current, one-point call
         pos = rng.uniform(-0.05, 0.05, size=(30, 3))
@@ -322,7 +320,7 @@ class TestFieldSum:
         self.check_rows_alone(pos, cur, pts, k, (0, 17, 39))
 
     @pytest.mark.parametrize("layout", LATTICES)
-    def test_lattice_current_rows_equal_their_own_calls(self, backend, rng, monkeypatch, layout):
+    def test_lattice_current_rows_equal_their_own_calls(self, rng, monkeypatch, layout):
         pos, cur, pts, k = lattice_case(rng, layout, 40, 3)
         cur *= rng.uniform(0.5, 2.0, cur.shape)
         monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
@@ -354,7 +352,7 @@ class TestFieldSum:
             (kernels.TILE_PAIRS + 5, 4),
         ],
     )
-    def test_point_alone_equals_point_in_tile(self, backend, rng, nelem, npts, nk):
+    def test_point_alone_equals_point_in_tile(self, rng, nelem, npts, nk):
         # thousands of points per tile and tiles that end mid-call, or one
         # point per tile when two do not fit or M exceeds the budget: each
         # point's value is its one-point, one-current value, bit for bit (a
@@ -376,7 +374,7 @@ class TestFieldSum:
 
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize("layout", LATTICES)
-    def test_lattice_point_alone_equals_point_in_tile(self, backend, rng, monkeypatch, layout, nk):
+    def test_lattice_point_alone_equals_point_in_tile(self, rng, monkeypatch, layout, nk):
         # tiles of 3 points, the last one short: every point, on the axis of
         # a column or not, is its one-point, one-current value, bit for bit
         pos, cur, pts, k = lattice_case(rng, layout, 20, nk)
@@ -389,14 +387,14 @@ class TestFieldSum:
                     np.testing.assert_array_equal(x[q, p], y[0])
 
     @pytest.mark.parametrize("layout", LATTICES)
-    def test_lattice_matches_element_sum(self, backend, rng, layout):
+    def test_lattice_matches_element_sum(self, rng, layout):
         pos, cur, pts, k = lattice_case(rng, layout, 12, 1)
         got = np.column_stack(kernels.field_sum(pos, cur[0], pts, k))
         for p in range(len(pts)):
             want = sum(element_field(pos[n], cur[0, n], pts[p], k) for n in range(len(pos)))
             np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
-    def test_on_axis_pairs_in_a_tile(self, backend, rng):
+    def test_on_axis_pairs_in_a_tile(self, rng):
         # a 3x3 lattice at y = 0; points at y = 0 straight along z from an
         # element column are on the z axis (rho = 0) of all three elements of
         # that column, and share the call with ordinary points
@@ -415,7 +413,7 @@ class TestFieldSum:
             alone = kernels.field_sum(pos, cur, pts[p : p + 1], k)
             assert list(got[p]) == [e[0] for e in alone]
 
-    def test_empty_points_and_elements(self, backend):
+    def test_empty_points_and_elements(self):
         k = 2 * math.pi / 0.003
         pos = np.zeros((4, 3))
         pts = np.ones((5, 3))
@@ -425,7 +423,7 @@ class TestFieldSum:
             out = kernels.field_sum(np.zeros((0, 3)), cur, pts, k)
             assert all(e.shape == shape and not e.any() for e in out)
 
-    def test_shape_validation(self, backend):
+    def test_shape_validation(self):
         with pytest.raises(ValueError):
             kernels.field_sum(np.zeros((2, 2)), np.ones(2, complex), np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError):
