@@ -294,9 +294,11 @@ def total_field(
 def export_field_csv(fg: FieldGrid, path: str | Path) -> None:
     """Write one row per grid point, row-major: the point, then re/im of Ex, Ey, Ez.
 
-    Written by :func:`synthesis.write_csv`: ``%.17g`` (exact float64 round
-    trip, -0.0 as ``-0``), CSV_BLOCK_ROWS rows at a time, so memory does not
-    grow with the grid.
+    Written by :func:`synthesis.write_csv`: each value as ``'%.17g' % v``
+    writes it (exact float64 round trip, -0.0 as ``-0``), CSV_BLOCK_ROWS rows
+    at a time, so memory does not grow with the grid.  Coordinates and field
+    values under 1e-4 in magnitude, other than 0, go through Python's ``%``,
+    the rest through the numpy formatter.
     """
     pts = fg.grid.points
     columns = (pts[:, 0], pts[:, 1], pts[:, 2])

@@ -133,33 +133,223 @@ def wrap_phase(pd: PhaseDistribution) -> PhaseDistribution:
 
 CSV_BLOCK_ROWS = 1024
 
+# Exact %.17g in numpy.  A value v with 1e-4 <= |v| < 1e16 has a decade
+# x = floor(log10 |v|) in -4..15, and %.17g writes it in fixed notation from
+# the 17-digit integer D = round-half-even(|v| 10^(16 - x)): the digits of D,
+# a point after digit x (or "0." and -x - 1 zeros before them when x < 0),
+# trailing zeros and a trailing point stripped.  |v| 10^(16 - x) is formed
+# exactly as hi + lo by Dekker's product, since 10^p is a float64 for
+# p <= 22.  D never rounds up to 10^17: the float64 just below each power of
+# ten from 1e-4 to 1e16 lies at least 8.3e-17 of it below, and a carry needs
+# 5e-18.  Every other value, +-0 aside, is formatted by Python's % one at a
+# time.
+_POW10 = np.multiply.accumulate(np.r_[1.0, np.full(22, 10.0)])
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# the four ASCII digits of 0..9999, one uint32 each, and their trailing zeros
+_DIGIT = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)  # most significant first
+_DIGITS4 = np.ascontiguousarray((_DIGIT + np.uint8(ord("0"))).T).view(np.uint32)[:, 0]
+_ZERO = _DIGIT == 0
+_ZEROS4 = _ZERO[3] * (1 + _ZERO[2] * (1 + _ZERO[1] * (1 + _ZERO[0].astype(np.intp))))
+_E8 = np.int64(10**8)
+_E4 = np.int64(10**4)
+
+# A value's text is laid out in a row of _WIDTH bytes, then cut from column
+# `start` to its separator at column `end`.  _INT_PART[x + 5] is 0xff on the
+# columns that hold leading zeros and the integer digits; _WINDOW[start *
+# _WIDTH + end] is True on columns start..end.
+_WIDTH = 28
+_COLS = np.arange(_WIDTH)
+_INT_PART = np.where(_COLS <= np.arange(23)[:, None], 255, 0).astype(np.uint8)
+_WINDOW = (_COLS >= np.arange(6)[:, None, None]) & (_COLS <= _COLS[:, None])
+_WINDOW = _WINDOW.reshape(-1, _WIDTH)
+
+
+class _Formatter:
+    """``%.17g`` text of up to ``size`` float64 values at a time.
+
+    The values go into :attr:`values`; :meth:`text` returns their text, each
+    followed by ``seps[i]``, as a view of a buffer that the next call
+    overwrites.  Every buffer is allocated once, here: fresh temporaries of
+    this size would cost page faults on every block.
+    """
+
+    def __init__(self, size: int, seps: np.ndarray) -> None:
+        self.values = np.empty(size)
+        self.seps = seps
+        self.floats = np.empty((7, size))
+        self.flags = np.empty((4, size), bool)
+        self.ints = np.empty((6, size), np.intp)
+        # D's digits go in words 1..5 of a row of seven: one, then four groups
+        # of four.  Words 0 and 6 stay "0000", and a spare row lets the
+        # layout below read two bytes past the last row.
+        self.groups = np.zeros((size, 7), np.int64)
+        self.digits = np.empty((size + 1, 7), np.uint32)
+        self.row = np.empty(size * _WIDTH, np.uint8)
+        # the integer-part mask, then the window of each text
+        self.mask = np.empty((size, _WIDTH), np.uint8)
+        self.out = np.empty(size * _WIDTH, np.uint8)
+        self.row_base = np.arange(size) * _WIDTH
+
+    def _scale(self, n: int) -> None:
+        # hi + lo = a 10^p exactly (Dekker's product)
+        a, hi, lo, ph, pl, ah, al = self.floats[:, :n]
+        p = self.ints[0, :n]
+        np.take(_POW10, p, out=hi, mode="clip")
+        np.multiply(a, hi, out=hi)
+        np.take(_POW10_HI, p, out=ph, mode="clip")
+        np.take(_POW10_LO, p, out=pl, mode="clip")
+        np.multiply(a, _SPLIT, out=lo)
+        np.subtract(lo, a, out=ah)
+        np.subtract(lo, ah, out=ah)
+        np.subtract(a, ah, out=al)
+        np.multiply(ah, ph, out=lo)
+        np.subtract(lo, hi, out=lo)
+        np.multiply(ah, pl, out=ah)
+        np.add(lo, ah, out=lo)
+        np.multiply(al, ph, out=ah)
+        np.add(lo, ah, out=lo)
+        np.multiply(al, pl, out=ah)
+        np.add(lo, ah, out=lo)
+
+    def text(self, n: int) -> np.ndarray:
+        """The text of ``values[:n]``, as uint8."""
+        v = self.values[:n]
+        a, hi, lo = self.floats[:3, :n]
+        neg, fallback, flag, flag2 = self.flags[:, :n]
+        p, q, start, end, zeros, tmp = self.ints[:, :n]
+        g = self.groups[:n]
+        row_base = self.row_base[:n]
+        # |v| outside [1e-4, 1e16), nan included, goes to the fallback; its
+        # arithmetic runs on 1.0
+        np.abs(v, out=a)
+        np.signbit(v, out=neg)
+        np.greater_equal(a, 1e-4, out=fallback)
+        np.less(a, 1e16, out=flag)
+        np.logical_and(fallback, flag, out=fallback)
+        np.logical_not(fallback, out=fallback)
+        np.copyto(a, 1.0, where=fallback)
+        # p = 16 - x; log10 can miss the decade by one next to a power of ten,
+        # so p moves until 10^16 <= hi + lo < 10^17
+        np.log10(a, out=hi)
+        np.floor(hi, out=hi)
+        np.subtract(16.0, hi, out=hi)
+        np.copyto(p, hi, casting="unsafe")
+        self._scale(n)
+        while True:
+            np.less_equal(hi, 1e16, out=flag)
+            np.greater_equal(hi, 1e17, out=flag2)
+            np.logical_or(flag, flag2, out=flag)
+            i = np.flatnonzero(flag)
+            h, l = hi[i], lo[i]
+            step = ((h < 1e16) | ((h == 1e16) & (l < 0))).astype(np.intp)
+            step -= (h > 1e17) | ((h == 1e17) & (l >= 0))
+            if not step.any():
+                break
+            p[i] += step
+            self._scale(n)
+        # D = hi + rint(lo): hi >= 10^16 is an even integer, so rounding lo
+        # half to even rounds hi + lo half to even
+        np.rint(lo, out=lo)
+        np.copyto(g[:, 1], hi, casting="unsafe")
+        np.copyto(tmp, lo, casting="unsafe")
+        np.add(g[:, 1], tmp, out=g[:, 1])
+        np.divmod(g[:, 1], _E8, out=(g[:, 1], g[:, 5]))
+        np.divmod(g[:, 5], _E4, out=(g[:, 4], g[:, 5]))
+        np.divmod(g[:, 1], _E4, out=(g[:, 1], g[:, 3]))
+        np.divmod(g[:, 1], _E4, out=(g[:, 1], g[:, 2]))
+        np.take(_DIGITS4, g, out=self.digits[:n], mode="clip")
+        # trailing zeros of D
+        np.take(_ZEROS4, g[:, 5], out=zeros, mode="clip")
+        for w, below in ((4, 4), (3, 8), (2, 12)):
+            np.take(_ZEROS4, g[:, w], out=tmp, mode="clip")
+            np.equal(zeros, below, out=flag)
+            np.multiply(tmp, flag, out=tmp)
+            np.add(zeros, tmp, out=zeros)
+        # The row: column 0 free for the sign, then "0000" and the digits in
+        # columns 1..x + 5, the point at column x + 6 and the other digits
+        # after it.  The text starts at the last of those zeros for x < 0,
+        # and at the first digit otherwise.
+        size = n * _WIDTH
+        row = self.row[:size]
+        digits = self.digits.reshape(-1).view(np.uint8)
+        np.subtract(21, p, out=q)  # x + 5
+        np.take(_INT_PART, q, axis=0, out=self.mask[:n], mode="clip")
+        np.bitwise_xor(digits[1 : size + 1], digits[2 : size + 2], out=row)
+        np.bitwise_and(row, self.mask[:n].reshape(-1), out=row)
+        np.bitwise_xor(row, digits[1 : size + 1], out=row)
+        np.add(row_base, q, out=tmp)
+        np.add(tmp, 1, out=tmp)
+        row[tmp] = ord(".")
+        np.subtract(q, 1, out=start)
+        np.minimum(start, 4, out=start)
+        np.add(row_base, start, out=tmp)
+        row[tmp] = ord("-")
+        np.add(start, 1, out=start)
+        np.subtract(start, neg, out=start)
+        # the text ends after its last nonzero digit, or before the point
+        # when that digit is in the integer part
+        np.subtract(23, zeros, out=end)
+        np.add(q, 2, out=tmp)
+        np.less_equal(end, tmp, out=flag)
+        np.subtract(tmp, 1, out=tmp)
+        np.copyto(end, tmp, where=flag)
+        # +-0 was formatted as +-1
+        np.equal(v, 0.0, out=flag)
+        rows = row.reshape(n, _WIDTH)
+        np.copyto(rows[:, 5], ord("0"), where=flag)
+        np.logical_not(flag, out=flag)
+        np.logical_and(fallback, flag, out=fallback)
+        i = np.flatnonzero(fallback)
+        if i.size:
+            text = [b"%.17g" % x for x in v[i].tolist()]
+            rows[i, 1:25] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+            start[i] = 1
+            end[i] = [len(t) + 1 for t in text]
+        np.add(row_base, end, out=tmp)
+        row[tmp] = self.seps[:n]
+        np.multiply(start, _WIDTH, out=tmp)
+        np.add(tmp, end, out=tmp)
+        window = self.mask[:n].view(bool)
+        np.take(_WINDOW, tmp, axis=0, out=window, mode="clip")
+        np.subtract(end, start, out=tmp)
+        out = self.out[: int(tmp.sum()) + n]
+        np.compress(window.reshape(-1), row, out=out)
+        return out
+
 
 def write_csv(path: str | Path, header: str, columns: tuple[np.ndarray, ...]) -> None:
     """Write ``header``, then row i of the equal-length float64 ``columns``.
 
-    Values are ``%.17g`` (exact float64 round trip, -0.0 as ``-0``), written
-    CSV_BLOCK_ROWS rows at a time.  A column whose block has at most half as
-    many distinct bit patterns as rows formats each pattern once; keying on
-    the bits keeps -0.0 apart from 0.0.
+    Every value is written as ``'%.17g' % v`` would write it (exact float64
+    round trip, -0.0 as ``-0``), CSV_BLOCK_ROWS rows at a time.  Values with
+    1e-4 <= |v| < 1e16 and +-0 are formatted by exact float64 and int64
+    arithmetic in numpy, the rest one at a time by Python's ``%``.
     """
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            blocks = [c[s : s + CSV_BLOCK_ROWS] for c in columns]
-            for j, block in enumerate(blocks):
-                bits, inv = np.unique(block.view(np.int64), return_inverse=True)
-                if 2 * len(bits) <= len(block):
-                    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-                    blocks[j] = np.array(text, dtype=object)[inv]
-            row = ",".join("%s" if b.dtype == object else "%.17g" for b in blocks) + "\n"
-            f.write((row * len(blocks[0])) % tuple(np.column_stack(blocks).ravel().tolist()))
+    rows = len(columns[0])
+    block = min(rows, CSV_BLOCK_ROWS) * len(columns)
+    seps = np.full((block // len(columns), len(columns)), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    fmt = _Formatter(block, seps.reshape(-1))
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for s in range(0, rows, CSV_BLOCK_ROWS):
+            n = min(rows - s, CSV_BLOCK_ROWS)
+            values = fmt.values[: n * len(columns)].reshape(n, len(columns))
+            for j, c in enumerate(columns):
+                values[:, j] = c[s : s + n]
+            f.write(fmt.text(values.size))
 
 
 def export_phase_csv(pd: PhaseDistribution, path: str | Path) -> None:
     """Write the per-element phase map, one row per element in index order.
 
     Columns: x, z, phase wrapped into [0, 2*pi), unwrapped phase and signed
-    distance, written by :func:`write_csv` (``%.17g``, CSV_BLOCK_ROWS at a time).
+    distance, written by :func:`write_csv`: each value as ``'%.17g' % v``
+    writes it, CSV_BLOCK_ROWS rows at a time.  Distances under 1e-4 m go
+    through Python's ``%``, the rest through the numpy formatter.
     """
     pos = pd.array.element_positions
     columns = (pos[:, 0], pos[:, 2], np.mod(pd.phases, TWO_PI), pd.phases, pd.signed_distances)

@@ -361,6 +361,27 @@ class TestPipelineCommands:
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob
 
+    def test_csv_values_read_back_as_their_own_text(self, tmp_path):
+        # Each value s in the phase and field CSVs must be format(float(s),
+        # ".17g"), whichever way the writer formats it.  The xz grid is
+        # broadside and folds, so components zero by symmetry write -0.
+        path, out_dir = write_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        xz = tmp_path / "xz.yaml"
+        xz.write_text(
+            SMALL_CONFIG.format(out_dir=tmp_path / "xz")
+            .replace("azimuth_deg: 10.0", "azimuth_deg: 0.0")
+            .replace("plane: xy", "plane: xz")
+            .replace("[0.05, 0.1]]", "[-0.02, 0.02]]")
+            .replace("offset_m: 0.0", "offset_m: 0.05")
+        )
+        assert main(["field", "--config", str(xz)]) == 0
+        texts = {}
+        for csv in (out_dir / "phase.csv", out_dir / "field.csv", tmp_path / "xz" / "field.csv"):
+            texts[csv] = re.split("[,\n]", csv.read_text().split("\n", 1)[1].rstrip("\n"))
+            assert [format(float(s), ".17g") for s in texts[csv]] == texts[csv]
+        assert "-0" in texts[tmp_path / "xz" / "field.csv"]
+
     def test_analyze_reports(self, tmp_path, capsys):
         path, out_dir = write_config(tmp_path)
         assert main(["analyze", "--config", str(path)]) == 0

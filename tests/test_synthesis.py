@@ -294,3 +294,36 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(path, "a,b,c,d,e,f,g", columns)
         assert path.read_text() == csv_oracle("a,b,c,d,e,f,g", columns)
+
+    def test_matches_format_on_hard_values(self, tmp_path, rng, csv_oracle):
+        # Exact 17-digit ties: odd n / 2^m whose decimal expansion n 5^m / 10^m
+        # has 18 significant digits lies in decade 17 - m, so m = 2..21
+        # covers every decade the numpy path formats.
+        m = np.repeat(np.arange(2, 22), 6000)
+        lo = np.ceil(1e17 / 5.0**m)
+        hi = np.minimum(1e18 / 5.0**m, 2.0**53)
+        n = np.floor(lo + rng.random(m.size) * (hi - lo)).astype(np.int64) | 1
+        ties = np.ldexp(n.astype(float), -m) * rng.choice([-1.0, 1.0], m.size)
+        # powers of ten and their neighbours within two ulps, over and
+        # past the decades of the numpy path; %g's switches at 1e-4 and 1e17,
+        # the fallback's at 1e16
+        p = 10.0 ** np.arange(-8, 20)
+        edges = [np.nextafter(p, 0), np.nextafter(np.nextafter(p, 0), 0), p]
+        edges += [np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, np.inf), np.inf)]
+        edges = np.concatenate(edges + [-e for e in edges])
+        # doubles whose 17-digit rounding carries to the next power of ten,
+        # all outside the numpy path's range
+        carries = np.array([1e-14, 1e-70, 1e-305, 9.9999999999999982e-15])
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan])
+        # few significant digits: trailing zeros in every group of D
+        short = rng.integers(1, 10**7, 20000) / 2.0 ** rng.integers(0, 24, 20000)
+        short *= 10.0 ** rng.integers(0, 10, 20000)
+        wide = rng.normal(size=20000) * 10.0 ** rng.uniform(-8, 18, 20000)
+        values = np.concatenate([ties, edges, carries, special, short, wide])
+        values = values[: values.size // 4 * 4].reshape(4, -1)
+        strided = np.empty(values.shape[1], complex)  # .real and .imag, as the field exporter passes
+        strided.real, strided.imag = values[2], values[3]
+        columns = (values[0], values[1], strided.real, strided.imag)
+        path = tmp_path / "hard.csv"
+        write_csv(path, "a,b,c,d", columns)
+        assert path.read_text() == csv_oracle("a,b,c,d", columns)
