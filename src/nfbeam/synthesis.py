@@ -172,8 +172,8 @@ class _Formatter:
 
     The values go into :attr:`values`; :meth:`text` returns their text, each
     followed by ``seps[i]``, as a view of a buffer that the next call
-    overwrites.  Every buffer is allocated once, here: fresh temporaries of
-    this size would cost page faults on every block.
+    overwrites.  Every buffer is allocated once, here, and reused by every
+    block with ``out=``, so blocks allocate no temporaries of their size.
     """
 
     def __init__(self, size: int, seps: np.ndarray) -> None:

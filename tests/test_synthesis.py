@@ -311,9 +311,9 @@ class TestWriteCsv:
         edges = [np.nextafter(p, 0), np.nextafter(np.nextafter(p, 0), 0), p]
         edges += [np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, np.inf), np.inf)]
         edges = np.concatenate(edges + [-e for e in edges])
-        # doubles whose 17-digit rounding carries to the next power of ten,
-        # all outside the numpy path's range
-        carries = np.array([1e-14, 1e-70, 1e-305, 9.9999999999999982e-15])
+        # doubles below 10^k whose 17-digit rounding carries to 10^k, all
+        # outside the numpy path's range
+        carries = np.array([1e-14, 1e-70, 1e-176, 1e-305])
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan])
         # few significant digits: trailing zeros in every group of D
         short = rng.integers(1, 10**7, 20000) / 2.0 ** rng.integers(0, 24, 20000)
