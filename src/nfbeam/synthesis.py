@@ -348,8 +348,9 @@ def export_phase_csv(pd: PhaseDistribution, path: str | Path) -> None:
 
     Columns: x, z, phase wrapped into [0, 2*pi), unwrapped phase and signed
     distance, written by :func:`write_csv`: each value as ``'%.17g' % v``
-    writes it, CSV_BLOCK_ROWS rows at a time.  Distances under 1e-4 m go
-    through Python's ``%``, the rest through the numpy formatter.
+    writes it, CSV_BLOCK_ROWS rows at a time.  Nonzero values under 1e-4 in
+    magnitude, mostly small distances and their phases, go through Python's
+    ``%``; the rest through the numpy formatter.
     """
     pos = pd.array.element_positions
     columns = (pos[:, 0], pos[:, 2], np.mod(pd.phases, TWO_PI), pd.phases, pd.signed_distances)
