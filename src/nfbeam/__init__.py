@@ -39,7 +39,6 @@ from .solver import (
     SolverConfig,
     SolverFailure,
     cone_distance_closed_form,
-    oracle_min_distance,
     plane_distance_closed_form,
 )
 from .synthesis import (

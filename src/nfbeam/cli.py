@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -80,6 +81,11 @@ class SimulationConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
             if not check(value):
                 raise ConfigError(f"{key} must be {accepts}, got {value!r}")
+        seen: dict[str, str] = {}
+        for key, name in output_names(self).items():
+            other = seen.setdefault(os.path.normpath(name), key)
+            if other != key:
+                raise ConfigError(f"{other} and {key} both name the output file {name}")
 
 
 def _finite(value) -> bool:
@@ -285,46 +291,67 @@ def _pipeline(scn: Scenario) -> tuple[PhaseDistribution, FieldGrid]:
     return pd, total_field(scn.array, to_excitation(pd), grid)
 
 
-def _out(cfg: SimulationConfig, name: str) -> Path:
+# the field heatmaps' layers, in the order they are written
+_LAYERS = ("Emag", "Ex", "Ey", "Ez")
+
+
+def output_names(cfg: SimulationConfig) -> dict[str, str]:
+    """Each output's file name in ``out_dir``, keyed by the config key that
+    sets it; the phase heatmap's name is fixed."""
+    names = {
+        "outputs.phase_csv": cfg.phase_csv,
+        "outputs.field_csv": cfg.field_csv,
+        "outputs.report": cfg.report,
+        "outputs.report (CSV twin)": str(Path(cfg.report).with_suffix(".csv")),
+    }
+    heatmaps = {f"outputs.heatmap ({tag})": f"{cfg.heatmap_stem}_{tag}.pgm" for tag in _LAYERS}
+    for key, name in {"the phase heatmap": "phase_wrapped.pgm", **heatmaps}.items():
+        names[key] = name
+        names[f"{key} sidecar"] = f"{name}.txt"
+    return names
+
+
+def _out(cfg: SimulationConfig, key: str) -> Path:
+    """The path of the output that ``key`` of :func:`output_names` names."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+    return out_dir / output_names(cfg)[key]
 
 
-def _write_pgm(cfg: SimulationConfig, name: str, values, quantity: str, extra) -> Path:
+def _write_pgm(cfg: SimulationConfig, key: str, values, quantity: str, extra) -> Path:
     """Write a heatmap and the sidecar that states its value mapping."""
-    path = _out(cfg, name)
+    path = _out(cfg, key)
     lo, hi = heatmap.write_pgm16(values, path)
-    heatmap.write_sidecar(path.with_suffix(".pgm.txt"), quantity, lo, hi, extra=extra)
+    heatmap.write_sidecar(_out(cfg, f"{key} sidecar"), quantity, lo, hi, extra=extra)
     return path
 
 
 def _write_report(cfg: SimulationConfig, entries: list[tuple[str, object]]) -> list[Path]:
     """Write the report text and its CSV twin."""
-    text_path = _out(cfg, cfg.report)
-    csv_path = text_path.with_suffix(".csv")
+    text_path = _out(cfg, "outputs.report")
+    csv_path = _out(cfg, "outputs.report (CSV twin)")
     analysis.export_report_text(entries, text_path)
     analysis.export_report_csv(entries, csv_path)
     return [text_path, csv_path]
 
 
 def write_phase_outputs(cfg: SimulationConfig, pd: PhaseDistribution) -> list[Path]:
-    phase_path = _out(cfg, cfg.phase_csv)
+    phase_path = _out(cfg, "outputs.phase_csv")
     export_phase_csv(pd, phase_path)
     axes = [("axes", "x (left-right), z (bottom-top)")]
     wrapped = wrap_phase(pd).phase_grid()
-    return [phase_path, _write_pgm(cfg, "phase_wrapped.pgm", wrapped, "wrapped_phase_rad", axes)]
+    return [phase_path, _write_pgm(cfg, "the phase heatmap", wrapped, "wrapped_phase_rad", axes)]
 
 
 def write_field_outputs(cfg: SimulationConfig, fg: FieldGrid) -> list[Path]:
-    field_path = _out(cfg, cfg.field_csv)
+    field_path = _out(cfg, "outputs.field_csv")
     export_field_csv(fg, field_path)
-    layers = {"Emag": fg.magnitude(), "Ex": np.abs(fg.ex), "Ey": np.abs(fg.ey), "Ez": np.abs(fg.ez)}
+    layers = (fg.magnitude(), np.abs(fg.ex), np.abs(fg.ey), np.abs(fg.ez))
     plane = [("plane", fg.grid.plane), ("offset_m", fg.grid.offset)]
     paths = [field_path]
-    for tag, values in layers.items():
-        name = f"{cfg.heatmap_stem}_{tag}.pgm"
-        paths.append(_write_pgm(cfg, name, values.reshape(fg.grid.shape), f"|{tag}| V/m", plane))
+    for tag, values in zip(_LAYERS, layers):
+        key, values = f"outputs.heatmap ({tag})", values.reshape(fg.grid.shape)
+        paths.append(_write_pgm(cfg, key, values, f"|{tag}| V/m", plane))
     return paths
 
 

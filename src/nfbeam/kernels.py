@@ -2,9 +2,10 @@
 
 * ``nearest_feet``: each element's foot on a canonical surface, the one
   place a wavefront kind picks its distance method and the only solver.
-  The cone takes its closed form (:func:`cone_feet`); every other surface,
-  the plane included, takes one numpy Newton solve, vectorized over
-  elements.  It runs once per phase map and is a small part of a run.
+  The plane and the cone take the cone's closed form (:func:`cone_feet`;
+  the plane is the cone of slope 0); custom surfaces take one numpy Newton
+  solve, vectorized over elements.  It runs once per phase map and is a
+  small part of a run.
 * ``field_sum``: the per-point phasor superposition when mapping the
   vector field, for one current vector or for K of them at once.  It
   dominates runtime: the field grid and the direction scan are its calls.
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .wavefront import CONE, Wavefront, surface_eval, surface_gradient, surface_hessian
+from .wavefront import CUSTOM, Wavefront, surface_eval, surface_gradient, surface_hessian
 
 # Newton's iteration cap and residual tolerance; read at each call
 MAX_ITERATIONS = 50
@@ -88,7 +89,7 @@ class FootBatch(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# nearest-foot solve: closed form for the cone, Newton for the rest
+# nearest-foot solve: closed form for plane and cone, Newton for custom ones
 #
 # Newton's unknowns are the foot coordinates (x, z) on the canonical surface
 # y = f(x, z); the line parameter t = f(x, z) - y_e is eliminated via the
@@ -151,7 +152,8 @@ def cone_feet(h_over_r: float, elem_primed):
     (rho, y) to the ray y = (h/r) * rho, rho >= 0, in the element's meridian
     half-plane, with the apex taken as the nearest point when the
     perpendicular foot would fall at rho < 0.  An element on the axis takes
-    its foot on the +x meridian.  ``elem_primed`` is (..., 3); each result
+    its foot on the +x meridian.  Slope 0 is the plane y = 0: distance
+    0.0 - y, foot (x, z), no apex.  ``elem_primed`` is (..., 3); each result
     has its leading shape.
     """
     m = float(h_over_r)
@@ -170,17 +172,17 @@ def cone_feet(h_over_r: float, elem_primed):
 def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
     """Nearest foot on the canonical ``wavefront`` for each steered-frame element.
 
-    ``elem_primed`` is (M, 3).  The cone takes its closed form
-    (:func:`cone_feet`, zero iterations); every other surface runs Newton
-    from directly below the element.  On the plane that start is the foot,
-    so it converges in zero iterations with distance exactly -y'.  Rows that
-    do not converge come back with ``converged=False`` and NaN distance; the
-    caller decides how to fall back.
+    ``elem_primed`` is (M, 3).  The plane and the cone take the closed form
+    (:func:`cone_feet` with slope ``h_over_r``, 0 for the plane, whose
+    distance is then 0.0 - y' and foot (x', z')), zero iterations.  Custom
+    surfaces run Newton from directly below the element.  Rows that do not
+    converge come back with ``converged=False`` and NaN distance; the caller
+    decides how to fall back.
     """
     pe = np.ascontiguousarray(elem_primed, dtype=np.float64)
     if pe.ndim != 2 or pe.shape[1] != 3:
         raise ValueError(f"elem_primed must have shape (M, 3), got {pe.shape}")
-    if wavefront.kind == CONE:
+    if wavefront.kind != CUSTOM:
         d, x, z = cone_feet(wavefront.h_over_r, pe)
         return FootBatch(d, x, z, np.zeros(d.shape, np.int64), np.isfinite(d))
     return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2])

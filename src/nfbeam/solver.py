@@ -1,10 +1,11 @@
 """Minimum signed distance from an antenna element to a steered wavefront.
 
 The element is mapped into the steered frame, where the wavefront is its
-canonical surface y = f(x, z).  :func:`kernels.nearest_feet` returns
-the cone's closed form and finds the foot of the perpendicular on any other
-surface, the plane included, by Newton iteration on the two-variable system
-obtained by eliminating the line parameter t:
+canonical surface y = f(x, z).  :func:`kernels.nearest_feet` is the only
+solver.  The plane and the cone take the cone's closed form (the plane is
+the cone of slope 0); a custom surface's foot of the perpendicular is found
+by Newton iteration on the two-variable system obtained by eliminating the
+line parameter t:
 
     g1(x, z) = x - x_e + t * df/dx = 0
     g2(x, z) = z - z_e + t * df/dz = 0      with  t = f(x, z) - y_e.
@@ -14,11 +15,11 @@ when the element must advance its phase to reach the wavefront (element
 below the surface), negative when it sits beyond it.  For the plane this
 reduces to the classical far-field steering phase, sign included.
 
-:func:`kernels.nearest_feet` is the only solver.  This module holds its
-references: the plane's angle form (:func:`plane_distance_closed_form`),
-the cone's meridian reduction (:func:`cone_distance_closed_form`) and a
-brute-force squared-distance minimizer over a dense grid, which also backs
-:func:`synthesis.synthesize` up where Newton does not converge.
+This module holds the solver's references: the plane's angle form
+(:func:`plane_distance_closed_form`), the cone's meridian reduction
+(:func:`cone_distance_closed_form`) and a brute-force squared-distance
+minimizer over a dense grid (:func:`oracle_signed_min_distance`), which
+also backs :func:`synthesis.synthesize` up where Newton does not converge.
 """
 
 from __future__ import annotations
@@ -39,21 +40,22 @@ class SolverFailure(RuntimeError):
     """Both the Newton solve and the oracle fallback failed."""
 
 
+# points per axis of the oracle's search grid; read at each call
+ORACLE_GRID = 2001
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search-box parameters for the brute-force oracle.
+    """Search box of the brute-force oracle.
 
     ``oracle_halfwidth`` defaults to four times the element's distance from
     the steered-frame origin (callers that know the array pass four times
     the aperture instead).
     """
 
-    oracle_grid: int = 2001
     oracle_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
-        if self.oracle_grid < 3:
-            raise ValueError("oracle_grid must be at least 3")
         if self.oracle_halfwidth is not None and self.oracle_halfwidth <= 0:
             raise ValueError("oracle_halfwidth must be positive when given")
 
@@ -76,21 +78,26 @@ def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
     return x1 if f1 <= f2 else x2
 
 
-def _oracle_search(
-    w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig
-) -> tuple[float, float, float]:
-    """Grid-plus-golden-section minimum of the squared-distance field.
+def oracle_signed_min_distance(
+    w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
+) -> float:
+    """Brute-force signed distance, used when Newton declines on a surface.
 
-    Returns (unsigned distance, x*, z*) with the argmin in the steered frame.
+    Evaluates (x - x_e)^2 + (f(x, z) - y_e)^2 + (z - z_e)^2 on an
+    :data:`ORACLE_GRID`-squared lattice in the steered frame, then refines
+    with one golden-section pass per axis around the best cell; the grid
+    stage alone is within one cell diagonal of the true minimum.  The sign
+    is read off the line parameter t = f(x*, z*) - y_e at the argmin,
+    matching the :func:`kernels.nearest_feet` convention.
     """
     base = w.base
     pe = to_primed(w.rotation, element_pos)
     xe, ye, ze = float(pe[0]), float(pe[1]), float(pe[2])
 
-    hw = cfg.oracle_halfwidth
+    hw = (cfg or SolverConfig()).oracle_halfwidth
     if hw is None:
         hw = 4.0 * max(0.01, math.sqrt(xe * xe + ye * ye + ze * ze))
-    n = cfg.oracle_grid
+    n = ORACLE_GRID
     xs = np.linspace(xe - hw, xe + hw, n)
     zs = np.linspace(ze - hw, ze + hw, n)
 
@@ -103,7 +110,6 @@ def _oracle_search(
         f = surface_eval(base, x, z)
         return (x - xe) ** 2 + (f - ye) ** 2 + (z - ze) ** 2
 
-    x_star = float(xs[i])
     z_star = float(zs[j])
     x_lo, x_hi = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
     x_star = _golden_min(lambda x: fd_at(x, z_star), float(x_lo), float(x_hi))
@@ -114,30 +120,15 @@ def _oracle_search(
         best = refined
     else:
         x_star, z_star = float(xs[i]), float(zs[j])
-    return math.sqrt(best), x_star, z_star
+    d = math.sqrt(best)
+    return d if surface_eval(base, x_star, z_star) - ye >= 0.0 else -d
 
 
-def oracle_min_distance(
-    w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
-) -> float:
-    """Brute-force minimum distance: dense grid over the squared-distance field.
-
-    Evaluates (x - x_e)^2 + (f(x, z) - y_e)^2 + (z - z_e)^2 on an
-    ``oracle_grid``-squared lattice in the steered frame, then refines with
-    one golden-section pass per axis around the best cell.  Unsigned; the
-    grid stage alone is within one cell diagonal of the true minimum.
-    """
-    dist, _, _ = _oracle_search(w, element_pos, cfg or SolverConfig())
-    return dist
-
-
-def oracle_cell_diagonal(cfg: SolverConfig, halfwidth: float | None = None) -> float:
+def oracle_cell_diagonal(cfg: SolverConfig) -> float:
     """Worst-case gap between the oracle's grid stage and the true minimum."""
-    if halfwidth is None:
-        if cfg.oracle_halfwidth is None:
-            raise ValueError("halfwidth required when the config leaves it unset")
-        halfwidth = cfg.oracle_halfwidth
-    cell = 2.0 * halfwidth / (cfg.oracle_grid - 1)
+    if cfg.oracle_halfwidth is None:
+        raise ValueError("the oracle's cell diagonal needs cfg.oracle_halfwidth")
+    cell = 2.0 * cfg.oracle_halfwidth / (ORACLE_GRID - 1)
     return math.sqrt(2.0) * cell
 
 
@@ -164,17 +155,3 @@ def cone_distance_closed_form(h_over_r: float, element_primed: np.ndarray):
     d, _, _ = kernels.cone_feet(h_over_r, element_primed)
     return d if d.ndim else float(d)
 
-
-def oracle_signed_min_distance(
-    w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
-) -> float:
-    """Oracle-backed signed distance, used when Newton declines on a surface.
-
-    The sign is read off the line parameter t = f(x*, z*) - y_e at the
-    oracle's argmin, matching the :func:`kernels.nearest_feet` convention.
-    """
-    cfg = cfg or SolverConfig()
-    d, x_star, z_star = _oracle_search(w, element_pos, cfg)
-    pe = to_primed(w.rotation, element_pos)
-    t = surface_eval(w.base, x_star, z_star) - float(pe[1])
-    return d if t >= 0.0 else -d

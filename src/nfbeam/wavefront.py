@@ -25,12 +25,14 @@ CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class Wavefront:
-    """A canonical surface y' = f(x', z') with an analytic (or fallback) gradient.
+    """A canonical surface y' = f(x', z').
 
     Use the :meth:`plane`, :meth:`cone` and :meth:`custom` constructors.
     ``h_over_r`` is the axicon slope of the cone surface (height over base
-    radius); custom surfaces provide ``surface`` and optionally ``gradient``
-    callables, both accepting numpy arrays and broadcasting over them.
+    radius) and 0 for the plane, the cone of slope 0; both have a
+    closed-form distance.  Custom surfaces, which Newton solves, provide
+    ``surface`` and optionally ``gradient`` callables, both accepting numpy
+    arrays and broadcasting over them.
     """
 
     kind: str
@@ -69,48 +71,41 @@ def surface_eval(w: Wavefront, x, z):
     """Surface height f(x, z) of the canonical wavefront."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if w.kind == PLANE:
-        out = np.zeros(np.broadcast(x, z).shape)
-        return out if out.ndim else float(out)
-    if w.kind == CONE:
+    if w.kind == CUSTOM:
+        val = w.surface(x, z)
+    else:
+        # the plane is the cone of slope 0
         val = w.h_over_r * np.sqrt(x * x + z * z)
-        return val if val.ndim else float(val)
-    val = w.surface(x, z)
     return val if np.ndim(val) else float(val)
 
 
 def surface_gradient(w: Wavefront, x, z):
     """(df/dx, df/dz) of the canonical surface, for Newton.
 
-    The plane's is zero and a custom surface's comes from its ``gradient``
-    when it has one.  Any other surface falls back to central finite
-    differences with step :func:`_fd_step`; the cone never needs them, since
-    it takes its closed form (:func:`kernels.cone_feet`).
+    A custom surface's comes from its ``gradient`` when it has one.  Any
+    other surface falls back to central finite differences with step
+    :func:`_fd_step`, which are exactly zero on the plane.  Only custom
+    surfaces reach Newton; the plane and the cone take their closed form
+    (:func:`kernels.cone_feet`).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if w.kind == PLANE:
-        shape = np.broadcast(x, z).shape
-        gx, gz = np.zeros(shape), np.zeros(shape)
-    elif w.gradient is not None:
+    if w.gradient is not None:
         gx, gz = w.gradient(x, z)
-        gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
     else:
         h = _fd_step(x, z)
         gx = (surface_eval(w, x + h, z) - surface_eval(w, x - h, z)) / (2.0 * h)
         gz = (surface_eval(w, x, z + h) - surface_eval(w, x, z - h)) / (2.0 * h)
-        gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
-    if np.ndim(gx):
-        return gx, gz
-    return float(gx), float(gz)
+    gx, gz = np.asarray(gx, dtype=float), np.asarray(gz, dtype=float)
+    return (gx, gz) if gx.ndim else (float(gx), float(gz))
 
 
 def surface_hessian(w: Wavefront, x, z):
     """(d2f/dx2, d2f/dxdz, d2f/dz2) of the canonical surface.
 
     Central differences of :func:`surface_gradient` with step
-    :func:`_fd_step`; the plane's zero gradient differences to exactly zero.
-    Only Newton (:func:`kernels.nearest_feet`) needs it.
+    :func:`_fd_step`, on arrays ``x`` and ``z``.  Only Newton needs it, so
+    only custom surfaces (:func:`kernels.nearest_feet`).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -122,9 +117,7 @@ def surface_hessian(w: Wavefront, x, z):
     fxx = (gxp - gxm) / (2.0 * h)
     fxz = (gzp - gzm) / (2.0 * h)
     fzz = (gzp2 - gzm2) / (2.0 * h)
-    if np.ndim(fxx):
-        return fxx, fxz, fzz
-    return float(fxx), float(fxz), float(fzz)
+    return fxx, fxz, fzz
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
     SolverConfig,
     oracle_cell_diagonal,
-    oracle_min_distance,
+    oracle_signed_min_distance,
     plane_distance_closed_form,
 )
 from nfbeam.synthesis import ArrayGeometry, synthesize, to_excitation
@@ -91,7 +91,7 @@ def test_criterion_2_solver_oracle_equivalence():
         pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
         cfg = SolverConfig(oracle_halfwidth=4.0 * max(0.01, float(np.linalg.norm(pos))))
         feet = kernels.nearest_feet(to_primed(sw.rotation, pos)[None], sw.base)
-        oracle = oracle_min_distance(sw, pos, cfg)
+        oracle = abs(oracle_signed_min_distance(sw, pos, cfg))
         # a row that does not converge counts as an infinite error
         err = abs(abs(feet.signed_distance[0]) - oracle) if feet.converged[0] else math.inf
         worst_ratio = max(worst_ratio, err / oracle_cell_diagonal(cfg))

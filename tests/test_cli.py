@@ -204,6 +204,28 @@ class TestExitCodes:
         assert "config error: observation.bounds_m" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "names, command, first, second",
+        [
+            ("  report: report.csv\n", "run", "outputs.report", "outputs.report (CSV twin)"),
+            (
+                "  phase_csv: maps.csv\n  field_csv: maps.csv\n",
+                "field",
+                "outputs.phase_csv",
+                "outputs.field_csv",
+            ),
+            ("  phase_csv: report.csv\n", "run", "outputs.phase_csv", "outputs.report (CSV twin)"),
+        ],
+        ids=["report-and-its-twin", "phase-and-field", "phase-and-report-twin"],
+    )
+    def test_colliding_output_names_exit_2(self, tmp_path, capsys, names, command, first, second):
+        path, out_dir = write_config(tmp_path)
+        path.write_text(path.read_text() + names)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {first} and {second} both name the output file ")
+        assert not out_dir.exists()
+
     def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         text = path.read_text().replace("n_x: 6", "n_x: 8").replace("n_z: 6", "n_z: 8")
@@ -406,12 +428,12 @@ class TestValidateCommand:
         assert "FAIL" not in out
 
     def test_solver_oracle_with_injected_error_fails(self, capsys, monkeypatch):
-        oracle = validation.oracle_min_distance
+        oracle = validation.oracle_signed_min_distance
 
         def off_by_a_micron(*args, **kwargs):
             return oracle(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(validation, "oracle_min_distance", off_by_a_micron)
+        monkeypatch.setattr(validation, "oracle_signed_min_distance", off_by_a_micron)
         code = main(["validate", "--only", "solver_oracle_equivalence", "--cases", "3"])
         out = capsys.readouterr().out
         assert code == 3

@@ -68,6 +68,23 @@ class TestNearestFeet:
         np.testing.assert_array_equal(out.foot_x, pe[:, 0])
         np.testing.assert_array_equal(out.foot_z, pe[:, 2])
 
+    def test_plane_and_cone_take_the_closed_form(self, rng, monkeypatch):
+        # Newton's derivatives are for custom surfaces only; the plane is the
+        # cone of slope 0
+        def newton_derivative(*args):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(kernels, "surface_gradient", newton_derivative)
+        monkeypatch.setattr(kernels, "surface_hessian", newton_derivative)
+        pe = random_primed_elements(rng)
+        plane = kernels.nearest_feet(pe, Wavefront.plane())
+        for got, want in zip(plane[:3], kernels.cone_feet(0.0, pe)):
+            np.testing.assert_array_equal(got, want)
+        cone = kernels.nearest_feet(pe, Wavefront.cone(0.3))
+        for out in (plane, cone):
+            assert out.converged.all()
+            assert not out.iterations.any()
+
     def test_apex_elements(self):
         # apex directly above/below the element projection, including the apex itself
         pe = np.array([[0.0, 0.0, 0.0], [0.0, -0.05, 0.0], [0.0, 0.05, 0.0]])

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import kernels
+from nfbeam import kernels, solver
 from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
     SolverConfig,
     cone_distance_closed_form,
     oracle_cell_diagonal,
-    oracle_min_distance,
     oracle_signed_min_distance,
     plane_distance_closed_form,
 )
@@ -20,8 +19,10 @@ WAVELENGTH = 0.003
 UNSTEERED_CONE_D_RHO1 = 0.2 / math.sqrt(1.04)
 
 
-def quick_cfg(halfwidth=None, grid=501):
-    return SolverConfig(oracle_grid=grid, oracle_halfwidth=halfwidth)
+@pytest.fixture
+def coarse_oracle(monkeypatch):
+    """A 501-point oracle grid, which keeps these tests fast."""
+    monkeypatch.setattr(solver, "ORACLE_GRID", 501)
 
 
 def nearest_row(sw, pos):
@@ -162,22 +163,25 @@ class TestOracle:
         angles = SteeringAngles.from_degrees(20.0, 0.0)
         sw = steer(Wavefront.plane(), angles)
         pos = np.array([WAVELENGTH, 0.0, 0.0])
-        cfg = SolverConfig()
-        d = oracle_min_distance(sw, pos, cfg)
+        # the oracle's default box for this element: four times 0.01 m
+        cfg = SolverConfig(oracle_halfwidth=4 * 0.01)
+        d = abs(oracle_signed_min_distance(sw, pos, cfg))
         ref = abs(plane_distance_closed_form(angles, pos))
-        bound = oracle_cell_diagonal(cfg, halfwidth=4 * 0.01)
-        assert abs(d - ref) <= bound
+        assert abs(d - ref) <= oracle_cell_diagonal(cfg)
 
+    @pytest.mark.usefixtures("coarse_oracle")
     def test_unsteered_cone_small_radius(self):
         sw = steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0))
-        d = oracle_min_distance(sw, np.array([0.05, 0.0, 0.0]), quick_cfg())
+        d = abs(oracle_signed_min_distance(sw, np.array([0.05, 0.0, 0.0])))
         assert d == pytest.approx(0.05 * math.sin(math.atan(0.2)), abs=1e-9)
         assert d == pytest.approx(0.0098058, abs=1e-6)
 
+    @pytest.mark.usefixtures("coarse_oracle")
     def test_zero_for_element_at_origin(self):
         sw = steer(Wavefront.cone(0.3), SteeringAngles.from_degrees(15.0, -25.0))
-        assert oracle_min_distance(sw, np.zeros(3), quick_cfg()) <= 1e-12
+        assert abs(oracle_signed_min_distance(sw, np.zeros(3))) <= 1e-12
 
+    @pytest.mark.usefixtures("coarse_oracle")
     def test_newton_oracle_equivalence_randomized(self, rng):
         for _ in range(30):
             if rng.uniform() < 0.5:
@@ -188,18 +192,19 @@ class TestOracle:
             sw = steer(base, angles)
             pos = np.array([rng.uniform(-0.08, 0.08), 0.0, rng.uniform(-0.08, 0.08)])
             hw = 4.0 * max(0.01, float(np.linalg.norm(pos)))
-            cfg = quick_cfg(halfwidth=hw)
+            cfg = SolverConfig(oracle_halfwidth=hw)
             newton = abs(nearest_row(sw, pos).signed_distance[0])
-            oracle = oracle_min_distance(sw, pos, cfg)
+            oracle = abs(oracle_signed_min_distance(sw, pos, cfg))
             assert abs(newton - oracle) <= oracle_cell_diagonal(cfg)
 
+    @pytest.mark.usefixtures("coarse_oracle")
     def test_signed_oracle_matches_newton_sign(self, rng):
         for _ in range(10):
             m = rng.uniform(0.1, 0.4)
             sw = steer(Wavefront.cone(m), SteeringAngles(*rng.uniform(-0.7, 0.7, 2)))
             pos = np.array([rng.uniform(-0.05, 0.05), 0.0, rng.uniform(-0.05, 0.05)])
             newton = nearest_row(sw, pos).signed_distance[0]
-            signed = oracle_signed_min_distance(sw, pos, quick_cfg())
+            signed = oracle_signed_min_distance(sw, pos)
             assert math.copysign(1.0, signed) == math.copysign(1.0, newton) or abs(
                 newton
             ) < 1e-9
@@ -246,7 +251,5 @@ class TestRotationIsometry:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(oracle_grid=2)
         with pytest.raises(ValueError):
             SolverConfig(oracle_halfwidth=0.0)
