@@ -133,6 +133,11 @@ _POSITIVE = (_number, lambda v: v > 0, "a positive number")
 _ANGLE = (_number, lambda v: -90.0 < v < 90.0, "a number strictly inside (-90, 90)")
 _COUNT = (_count, lambda v: v > 0, "a positive whole number")
 _FILE_NAME = (_text, bool, "a non-empty string")
+_OUTPUT_FILE = (
+    _text,
+    lambda v: os.path.basename(v) not in ("", ".", ".."),
+    "a non-empty string naming a file, whose last path component is not empty, . or ..",
+)
 
 # dotted YAML key -> (SimulationConfig field, parser, check, accepted form)
 _KEYS = {
@@ -164,10 +169,10 @@ _KEYS = {
         "a positive number or null",
     ),
     "outputs.out_dir": ("out_dir", *_FILE_NAME),
-    "outputs.phase_csv": ("phase_csv", *_FILE_NAME),
-    "outputs.field_csv": ("field_csv", *_FILE_NAME),
+    "outputs.phase_csv": ("phase_csv", *_OUTPUT_FILE),
+    "outputs.field_csv": ("field_csv", *_OUTPUT_FILE),
     "outputs.heatmap": ("heatmap_stem", *_FILE_NAME),
-    "outputs.report": ("report", *_FILE_NAME),
+    "outputs.report": ("report", *_OUTPUT_FILE),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 

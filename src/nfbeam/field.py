@@ -17,11 +17,14 @@ lattice reversed along x and along z:
 :func:`total_field` uses them to evaluate every point at its representative
 (|x|, y, |z|), once per mirror current that the point set needs, in one
 multi-current ``kernels.field_sum`` call.  On z = 0 a point is its own z
-mirror, so there the elements pair up across z = 0 instead: half the
-lattice carries I and I∘Mz.  A point's value depends only on the point, the
-array and the currents, never on which other points share the call, and
-each point's sum over elements runs in a fixed order (see ``kernels``), so
-repeated runs are bit-identical.
+mirror, so there the elements pair up across z = 0 instead, and each pair's
+two currents are summed before the kernel: over the z <= 0 half of the
+lattice, Ez takes A = I + I∘Mz and Ex and Ey take B = I - I∘Mz, whose sign
+is the Ex and Ey sign flip of the z mirror.  One A row and one B row per
+mirror current replace the rows I and I∘Mz.  A point's value depends only
+on the point, the array and the currents, never on which other points share
+the call, and each point's sum over elements runs in a fixed order (see
+``kernels``), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -231,10 +234,12 @@ def total_field(
     the mirror current it needs, and signed back (see the module
     docstring).  Points off z = 0 sum over the whole lattice with one of
     I, I∘Mx, I∘Mz and I∘Mx∘Mz.  Points on z = 0, -0.0 included, sum over
-    the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz; the
-    middle row of an odd n_z pairs with itself, so its mirror current is 0.
-    Calls run in blocks of at most :data:`BLOCK_PAIRS` (current, point)
-    pairs.
+    the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz, summed
+    before the kernel: A = I + I∘Mz for Ez and B = I - I∘Mz for Ex and Ey,
+    passed as ``field_sum``'s axial and transverse rows.  The middle row of
+    an odd n_z pairs with itself, so its mirror current is 0 and A = B = I
+    there.  Calls run in blocks of at most :data:`BLOCK_PAIRS` (current row,
+    point) pairs, A and B rows both counted.
     """
     if exc.currents.shape != (array.num_elements,):
         raise ValueError(
@@ -257,31 +262,27 @@ def total_field(
         codes = [f for f in range(4) if mask >> f & 1]
         if paired:
             elems = positions[:, :half].reshape(-1, 3)
-            rows = []
-            for f in codes:
-                mirror = _mirrored(cur, f | 2)[:, :half].copy()
-                if array.n_z % 2:
-                    mirror[:, -1] = 0.0
-                rows += [_mirrored(cur, f)[:, :half], mirror]
+            own = np.stack([_mirrored(cur, f)[:, :half] for f in codes])
+            mirror = np.stack([_mirrored(cur, f | 2)[:, :half] for f in codes])
+            if array.n_z % 2:
+                mirror[:, :, -1] = 0.0
+            own, mirror = own.reshape(len(codes), -1), mirror.reshape(len(codes), -1)
+            currents, transverse = own + mirror, own - mirror
         else:
             elems = positions.reshape(-1, 3)
-            rows = [_mirrored(cur, f) for f in codes]
-        currents = np.stack([r.ravel() for r in rows])
+            currents = np.stack([_mirrored(cur, f).ravel() for f in codes])
+            transverse = None
         slot = np.zeros(4, np.intp)
-        slot[codes] = np.arange(len(codes)) * (2 if paired else 1)
-        block = max(1, BLOCK_PAIRS // len(currents))
+        slot[codes] = np.arange(len(codes))
+        block = max(1, BLOCK_PAIRS // (len(codes) * (2 if paired else 1)))
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
-            fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k)
+            fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k, transverse)
             s0, s1 = starts[b0], starts[b1]
             point = np.repeat(np.arange(b1 - b0), np.diff(starts[b0 : b1 + 1]))
             f = flip[s0:s1]
             row = slot[f]
             vx, vy, vz = fx[row, point], fy[row, point], fz[row, point]
-            if paired:
-                vx -= fx[row + 1, point]
-                vy -= fy[row + 1, point]
-                vz += fz[row + 1, point]
             # sign back: Ex flips under one of the two mirrors, Ey under z
             np.negative(vx, out=vx, where=(f == 1) | (f == 2))
             np.negative(vy, out=vy, where=f >= 2)

@@ -14,6 +14,8 @@
   ``field.total_field`` uses this to evaluate mirror images of points with
   mirrored currents.  It is vectorized numpy and builds each pair's phasor
   exp(-jkr) from one tangent, s = tan(kr/2), as (1 - js)^2 / (1 + s^2).
+  Points on z = 0 may give Ex and Ey current rows of their own (see
+  below), which ``field.total_field`` uses for the sums of its mirror pairs.
 
 Each point and each current row is summed on its own, so results are
 deterministic and rerun-identical, and a point's value in a row of a
@@ -30,9 +32,18 @@ point's z minus the element's,
     Ez = -sum_c rho_c sum_z w.
 
 rho, cos and sin are computed once per (point, column); a point at rho = 0
-takes azimuth 0 for that column, so its u is (dz/r, 0, 0).  Each column is
-summed over z in ascending element order, then the weighted column sums
-over the columns pairwise (``np.add.reduce`` along the row of columns).
+takes azimuth 0 for that column, so its u is (dz/r, 0, 0).  dz and dz^2 are
+computed once per (z, point) when every column has the first column's z
+values, as every ``ArrayGeometry`` lattice does, and once per pair
+otherwise.  Each column is summed over z in ascending element order, then
+the weighted column sums over the columns pairwise (``np.add.reduce`` along
+the row of columns).
+
+On z = 0, dz = 0.0 - z_j depends on the element alone.  A call whose points
+all lie there may pass transverse rows B for Ex and Ey beside the rows A
+that then drive Ez alone: the kernel multiplies B by dz once per call and
+sums S_c = sum_z (B dz) w, so it never forms w dz.  It raises if a point is
+off z = 0, and never decides this from the call's other points.
 
 The kernel works in tiles of at most :data:`TILE_PAIRS` (point, element)
 pairs, which share each phasor and azimuth across the K current rows.  A
@@ -40,11 +51,18 @@ call splits its tiles into up to :data:`WORKERS` contiguous shares, one per
 CPU in the process's affinity mask: it starts a thread for each share but
 the last, runs the last itself and joins the threads before it returns, so
 no thread outlives a call.  numpy releases the GIL inside each operation on
-a tile, so the shares run in parallel.  Each share computes in place in its
-own buffers, 80 bytes per (point, element) pair of a tile (1.25 MiB at
-16,384 pairs) and 72 + 48 K bytes per (point, column) for K current rows,
-and writes only its own points, so results do not depend on the number of
-workers.  A fault in any share is raised to the caller.
+a tile, so the shares run in parallel.  Each call copies its current rows
+once, (row, z, point, column), repeated down a tile's points, so every
+current product runs numpy's vector loop over the tile's whole (point,
+column) plane, not over one row of columns; a multiply is elementwise, so
+the copy changes no bit.  The copy takes 16 bytes per row and pair of a tile
+(256 KiB per row at 16,384 pairs, 1 MiB for 4 rows) and is read by every
+share.  Each share computes in place in its own buffers, 80 bytes per
+(point, element) pair of a tile (1.25 MiB at 16,384 pairs; the 16 of w dz go
+unused by transverse calls, and of the 8 of dz only one per (z, point) is
+used on a shared-z lattice) and 72 + 48 K bytes per (point, column) for K
+current rows, and writes only its own points, so results do not depend on
+the number of workers.  A fault in any share is raised to the caller.
 """
 
 from __future__ import annotations
@@ -199,6 +217,24 @@ def _column_length(pos):
     return int(runs[0]) if runs.size > 1 and (runs == runs[0]).all() else 1
 
 
+def _column_z(pos, nz):
+    # the elements' z as (z, 1, column) for columns of nz elements, or as
+    # (z, 1, 1) when every column has the first column's z values to the
+    # bit (-0.0 and 0.0 would give dz different signs of zero)
+    ze = pos[:, 2].reshape(-1, nz).T
+    shared = (ze.view(np.int64) == ze[:, :1].view(np.int64)).all()
+    return np.ascontiguousarray((ze[:, :1] if shared else ze)[:, None, :])
+
+
+def _tile_rows(cur, step):
+    # (K, column, z) current rows as (K, z, point, column), repeated down
+    # the ``step`` points of a tile: each product's operands are contiguous
+    # over the tile's (point, column) plane
+    rows = np.empty((cur.shape[0], cur.shape[2], step, cur.shape[1]), np.complex128)
+    rows[...] = cur.transpose(0, 2, 1)[:, :, None, :]
+    return rows
+
+
 def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # One worker's share: the tiles that begin at ``starts``, computed in
     # place in its own buffers.  Every operation sees the operand layout of
@@ -208,10 +244,13 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # (z, point, column): the column sums reduce the leading axis, one z
     # after the other, with numpy's vector loop over the (point, column)
     # plane.  Two columns or more keep that plane from collapsing into the
-    # reduced axis, where numpy would sum pairwise instead.
+    # reduced axis, where numpy would sum pairwise instead.  ze is (z, 1, 1)
+    # when the columns share their z values, so dz and dz^2 are (z, point,
+    # 1), else (z, 1, column).
     xy, ze = cols
+    axial, transverse = rows
     floats, cplx, col_floats, col_weights, col_cplx = buffers
-    nz, _, ncol = ze.shape
+    nz, ncol, zcol = ze.shape[0], xy.shape[2], ze.shape[2]
     npts = pts.shape[0]
     step = col_floats.shape[1]
     for s in starts:
@@ -239,13 +278,15 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         np.negative(rho, out=rho)
         # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2), and wz = w dz;
         # exp(-jkr) = (1 - js)^2 / (1 + s^2), so w.real = (1 - s^2) / d and
-        # w.imag = -2s / d with d = (1 + s^2) r^2
+        # w.imag = -2s / d with d = (1 + s^2) r^2.  dz^2 is held in s2's
+        # buffer until s2 is computed.
         size = nz * n * ncol
-        dz, r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats)
+        dz, dz2 = (f[: nz * n * zcol].reshape(nz, n, zcol) for f in (floats[0], floats[3]))
+        r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats[1:])
         w, wz, prod = (c[:size].reshape(nz, n, ncol) for c in cplx)
         np.subtract(pts[s:e, 2, None], ze, out=dz)
-        np.multiply(dz, dz, out=t)
-        np.add(rho2, t, out=r2)
+        np.multiply(dz, dz, out=dz2)
+        np.add(rho2, dz2, out=r2)
         np.sqrt(r2, out=t)
         np.multiply(t, 0.5 * k, out=t)
         np.tan(t, out=t)
@@ -256,15 +297,18 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         np.divide(s2, r2, out=w.real)
         np.multiply(t, -2.0, out=t)
         np.divide(t, r2, out=w.imag)
-        np.multiply(w.real, dz, out=wz.real)
-        np.multiply(w.imag, dz, out=wz.imag)
+        if transverse is None:
+            np.multiply(w.real, dz, out=wz.real)
+            np.multiply(w.imag, dz, out=wz.imag)
         # Ex and Ey are the column sums of I wz weighted by cos and sin, Ez
         # the column sums of I w weighted by -rho, each then summed over the
-        # columns, for all current rows at once
-        for q in range(rows.shape[0]):
-            np.multiply(rows[q, :, :n], wz, out=prod)
+        # columns, for all current rows at once; transverse rows carry dz
+        # already, so they take w
+        across, wa = (axial, wz) if transverse is None else (transverse, w)
+        for q in range(axial.shape[0]):
+            np.multiply(across[q, :, :n], wa, out=prod)
             np.add.reduce(prod, axis=0, out=sums[0, q])
-            np.multiply(rows[q, :, :n], w, out=prod)
+            np.multiply(axial[q, :, :n], w, out=prod)
             np.add.reduce(prod, axis=0, out=sums[2, q])
         np.copyto(sums[1], sums[0])
         np.multiply(sums, weights[:, None], out=sums)
@@ -276,6 +320,7 @@ def field_sum(
     currents: np.ndarray,
     points: np.ndarray,
     k: float,
+    transverse: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Superpose per-element spherical-wave contributions at each point.
 
@@ -285,6 +330,13 @@ def field_sum(
     evaluation, and each row equals a call with that row alone, bit for
     bit.  Points must not coincide with element positions (guaranteed by
     the caller's clearance check).
+
+    ``transverse``, of the same shape as ``currents``, gives Ex and Ey their
+    own currents, and ``currents`` then drives Ez alone.  It is for points
+    on z = 0, where each pair's dz = 0.0 - z of the element depends on the
+    element only: the kernel folds dz into the transverse currents once per
+    call, instead of forming w dz per pair.  A point off z = 0 raises
+    ``ValueError``.
     """
     pos = np.ascontiguousarray(positions, dtype=np.float64)
     cur = np.ascontiguousarray(currents, dtype=np.complex128)
@@ -295,13 +347,22 @@ def field_sum(
         raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
     if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
         raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
+    if transverse is not None:
+        tr = np.asarray(transverse, dtype=np.complex128)
+        if tr.shape != cur.shape:
+            raise ValueError(f"transverse must have the shape of currents, {cur.shape}")
+        if (pts[:, 2] != 0.0).any():
+            raise ValueError("transverse currents need every point on z = 0")
+        # B dz with dz = 0.0 - z, as two real products, like w dz
+        dz = 0.0 - pos[:, 2]
+        transverse = np.empty(tr.shape, np.complex128)
+        np.multiply(tr.real, dz, out=transverse.real)
+        np.multiply(tr.imag, dz, out=transverse.imag)
     # Tiles of TILE_PAIRS // M points each take the whole element row, so no
     # point's sum is split and a point's value does not depend on which
-    # points share its tile, nor on which worker runs it.  Each current
-    # product runs numpy's vector loop over a row of columns; at M = 1 the
-    # currents are repeated down the tile, since numpy multiplies by a
-    # broadcast single element in its scalar complex loop, which rounds
-    # differently.
+    # points share its tile, nor on which worker runs it.  The current rows
+    # are copied once, contiguous over a tile's points, so each product runs
+    # numpy's vector loop over the tile's (point, column) plane.
     k = float(k)
     nk = cur.shape[0] if cur.ndim == 2 else 1
     nelem = pos.shape[0]
@@ -310,12 +371,11 @@ def field_sum(
     ncol = nelem // nz
     step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
     out = np.empty((3, nk, npts), np.complex128)
-    rows = cur.reshape(nk, ncol, nz).transpose(0, 2, 1)[:, :, None, :]
-    rows = np.repeat(rows, step if nelem == 1 else 1, axis=2)
-    cols = (
-        np.ascontiguousarray(pos[::nz, :2].T[:, None, :]),
-        np.ascontiguousarray(pos[:, 2].reshape(ncol, nz).T[:, None, :]),
+    rows = tuple(
+        None if c is None else _tile_rows(c.reshape(nk, ncol, nz), step)
+        for c in (cur, transverse)
     )
+    cols = (np.ascontiguousarray(pos[::nz, :2].T[:, None, :]), _column_z(pos, nz))
     starts = range(0, npts, step)
     nw = max(1, min(WORKERS, len(starts)))
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]

@@ -226,6 +226,20 @@ class TestExitCodes:
         assert err.startswith(f"config error: {first} and {second} both name the output file ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [(".", "outputs.report"), ("..", "outputs.report"), ("sub/..", "outputs.field_csv")],
+        ids=["report-dot", "report-dotdot", "field-csv-sub-dotdot"],
+    )
+    def test_output_name_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, name, key):
+        path, out_dir = write_config(tmp_path)
+        path.write_text(path.read_text() + f'  {key.split(".")[1]}: "{name}"\n')
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a non-empty string naming a file")
+        assert err.rstrip().endswith(f"got {name!r}")
+        assert not out_dir.exists()
+
     def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         text = path.read_text().replace("n_x: 6", "n_x: 8").replace("n_z: 6", "n_z: 8")

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -390,6 +391,56 @@ class TestMirrorFolding:
             for other in fields[1:]:
                 for x, y in zip(fields[0], other):
                     np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class TestMirrorPairSums:
+    # on z = 0 each element pairs with its mirror across z = 0: total_field
+    # sends one axial row A = I + I∘Mz (Ez) and one transverse row
+    # B = I - I∘Mz (Ex, Ey) per flip code over the z <= 0 half of the lattice
+    @pytest.mark.parametrize("n_x, n_z", [(8, 8), (7, 9)])
+    def test_z0_calls_carry_one_axial_and_one_transverse_row_per_code(
+        self, monkeypatch, rng, n_x, n_z
+    ):
+        arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
+        cur = random_currents(rng, arr)
+        grid = folding_sets(rng)["default xy grid"]
+        calls = []
+        field_sum = kernels.field_sum
+        signature = inspect.signature(field_sum)
+
+        def record(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            return field_sum(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "field_sum", record)
+        total_field(arr, Excitation(cur), grid)
+        half = (n_z + 1) // 2
+        lattice = cur.reshape(n_x, n_z)
+        own = lattice[:, :half]
+        mirror = lattice[:, ::-1][:, :half].copy()
+        if n_z % 2:
+            mirror[:, -1] = 0.0
+        # the grid's points have x < 0 and x > 0: flip codes 0 and 1, the
+        # second reversing the lattice along x
+        axial = np.stack([(own + mirror).ravel(), (own + mirror)[::-1].ravel()])
+        transverse = np.stack([(own - mirror).ravel(), (own - mirror)[::-1].ravel()])
+        elems = arr.element_positions.reshape(n_x, n_z, 3)[:, :half].reshape(-1, 3)
+        assert calls and sum(len(c["points"]) for c in calls) == (81 + 1) // 2 * 81
+        for call in calls:
+            assert not call["points"][:, 2].any()
+            np.testing.assert_array_equal(call["positions"], elems)
+            np.testing.assert_array_equal(call["currents"], axial)
+            np.testing.assert_array_equal(call["transverse"], transverse)
+
+    @pytest.mark.parametrize("n_x, n_z", [(8, 8), (7, 9)])
+    def test_z_symmetric_currents_give_no_transverse_field_on_z0(self, rng, n_x, n_z):
+        arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
+        lattice = random_currents(rng, arr).reshape(n_x, n_z)
+        cur = lattice + lattice[:, ::-1]
+        assert np.array_equal(cur, cur[:, ::-1])
+        fg = total_field(arr, Excitation(cur.ravel()), folding_sets(rng)["default xy grid"])
+        assert not fg.ex.any() and not fg.ey.any()
+        assert np.abs(fg.ez).min() > 0.0
 
 
 class TestFieldCsv:

@@ -449,3 +449,101 @@ class TestFieldSum:
             kernels.field_sum(np.zeros((2, 3)), np.ones((4, 3), complex), np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError):
             kernels.field_sum(np.zeros((2, 3)), np.ones((1, 1, 2), complex), np.zeros((1, 3)), 1.0)
+
+
+def shifted_columns():
+    """A 6x5 lattice whose columns keep their length but not their z: column
+    c is shifted along z by c d / 7."""
+    pos = lattice(6, 5).reshape(6, 5, 3).copy()
+    pos[:, :, 2] += (np.arange(6) * 0.0015 / 7)[:, None]
+    return pos.reshape(-1, 3)
+
+
+class TestColumnZ:
+    # ArrayGeometry lattices share their z values across columns, so the
+    # kernel forms dz and dz^2 once per (z, point); columns with z values of
+    # their own take dz per pair
+    def test_shared_z_only_when_every_column_agrees(self):
+        for n_x, n_z in ((8, 8), (7, 5), (1, 9)):
+            pos = lattice(n_x, n_z)
+            np.testing.assert_array_equal(kernels._column_z(pos, n_z), pos[:n_z, 2, None, None])
+        pos = shifted_columns()
+        assert kernels._column_length(pos) == 5
+        ze = kernels._column_z(pos, 5)
+        assert ze.shape == (5, 1, 6)
+        np.testing.assert_array_equal(ze[:, 0], pos[:, 2].reshape(6, 5).T)
+
+    def test_own_z_matches_element_sum(self, rng):
+        pos = shifted_columns()
+        _, cur, pts, k = field_sum_case(rng, len(pos), 12, 2)
+        got = kernels.field_sum(pos, cur, pts, k)
+        for q in range(2):
+            for p in range(len(pts)):
+                want = sum(element_field(pos[n], cur[q, n], pts[p], k) for n in range(len(pos)))
+                np.testing.assert_allclose(
+                    [e[q, p] for e in got], want, rtol=1e-12, atol=1e-15 * np.abs(want).max()
+                )
+
+    def test_own_z_rows_and_points_alone(self, rng, monkeypatch):
+        # tiles of 3 points, the last one short
+        pos = shifted_columns()
+        _, cur, pts, k = field_sum_case(rng, len(pos), 20, 3)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        TestFieldSum.check_rows_alone(pos, cur, pts, k, range(len(pts)))
+
+
+def z0_case(rng, nk):
+    """The z <= 0 half of a 5x17 lattice, axial and transverse current rows,
+    and points on z = 0, -0.0 among them."""
+    pos = lattice(5, 17).reshape(5, 17, 3)[:, :9].reshape(-1, 3)
+    _, axial, pts, k = field_sum_case(rng, len(pos), 20, nk)
+    _, transverse, _, _ = field_sum_case(rng, len(pos), 0, nk)
+    pts[:, 2] = 0.0
+    pts[::3, 2] = -0.0
+    return pos, axial, transverse, pts, k
+
+
+class TestTransverseRows:
+    # points on z = 0: Ex and Ey from the transverse rows, Ez from the axial
+    # ones, with dz = 0.0 - z folded into the transverse rows
+    def test_against_two_plain_calls(self, rng):
+        pos, axial, transverse, pts, k = z0_case(rng, 2)
+        ex, ey, ez = kernels.field_sum(pos, axial, pts, k, transverse)
+        tx, ty, _ = kernels.field_sum(pos, transverse, pts, k)
+        _, _, az = kernels.field_sum(pos, axial, pts, k)
+        # Ez takes the products of a plain call; Ex and Ey round I dz, not w dz
+        np.testing.assert_array_equal(ez, az)
+        for got, want in ((ex, tx), (ey, ty)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    def test_rows_and_points_alone(self, rng, monkeypatch):
+        pos, axial, transverse, pts, k = z0_case(rng, 3)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        rows = kernels.field_sum(pos, axial, pts, k, transverse)
+        for q in range(3):
+            single = kernels.field_sum(pos, axial[q], pts, k, transverse[q])
+            for x, y in zip(rows, single):
+                np.testing.assert_array_equal(x[q], y)
+            for p in range(len(pts)):
+                alone = kernels.field_sum(pos, axial[q], pts[p : p + 1], k, transverse[q])
+                for x, y in zip(rows, alone):
+                    np.testing.assert_array_equal(x[q, p : p + 1], y)
+
+    def test_worker_count_changes_no_bit(self, rng, monkeypatch):
+        pos, axial, transverse, pts, k = z0_case(rng, 2)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            results.append(kernels.field_sum(pos, axial, pts, k, transverse))
+        for other in results[1:]:
+            for x, y in zip(results[0], other):
+                np.testing.assert_array_equal(x, y)
+
+    def test_rejects_points_off_z0_and_mismatched_rows(self, rng):
+        pos, axial, transverse, pts, k = z0_case(rng, 2)
+        pts[7, 2] = 1e-9
+        with pytest.raises(ValueError, match="z = 0"):
+            kernels.field_sum(pos, axial, pts, k, transverse)
+        with pytest.raises(ValueError, match="shape of currents"):
+            kernels.field_sum(pos, axial, pts[:7], k, transverse[:1])
