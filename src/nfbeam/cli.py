@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -68,10 +67,6 @@ class SimulationConfig:
     obs_offset_m: float = 0.0
     analysis_radius_m: float | None = None
     out_dir: str = "out"
-    phase_csv: str = "phase.csv"
-    field_csv: str = "field.csv"
-    heatmap_stem: str = "field"
-    report: str = "report.txt"
 
     def validate(self) -> None:
         """Check each value against its `_KEYS` row; the first failing row is reported."""
@@ -81,11 +76,6 @@ class SimulationConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
             if not check(value):
                 raise ConfigError(f"{key} must be {accepts}, got {value!r}")
-        seen: dict[str, str] = {}
-        for key, name in output_names(self).items():
-            other = seen.setdefault(os.path.normpath(name), key)
-            if other != key:
-                raise ConfigError(f"{other} and {key} both name the output file {name}")
 
 
 def _finite(value) -> bool:
@@ -122,6 +112,15 @@ def _pair(parse):
     return parse_pair
 
 
+def _directory(value: str) -> bool:
+    """Whether ``value`` names a directory or one that ``mkdir(parents=True)``
+    can make: its nearest existing ancestor, a dangling symlink included, is a
+    directory.  Creates nothing."""
+    path = Path(value)
+    existing = (p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    return bool(value) and next(existing, path).is_dir()
+
+
 # beam kind -> its unsteered wavefront
 _BEAMS = {
     "gaussian": lambda cfg: Wavefront.plane(),
@@ -132,12 +131,6 @@ _BEAMS = {
 _POSITIVE = (_number, lambda v: v > 0, "a positive number")
 _ANGLE = (_number, lambda v: -90.0 < v < 90.0, "a number strictly inside (-90, 90)")
 _COUNT = (_count, lambda v: v > 0, "a positive whole number")
-_FILE_NAME = (_text, bool, "a non-empty string")
-_OUTPUT_FILE = (
-    _text,
-    lambda v: os.path.basename(v) not in ("", ".", ".."),
-    "a non-empty string naming a file, whose last path component is not empty, . or ..",
-)
 
 # dotted YAML key -> (SimulationConfig field, parser, check, accepted form)
 _KEYS = {
@@ -168,11 +161,9 @@ _KEYS = {
         lambda radius: radius is None or radius > 0,
         "a positive number or null",
     ),
-    "outputs.out_dir": ("out_dir", *_FILE_NAME),
-    "outputs.phase_csv": ("phase_csv", *_OUTPUT_FILE),
-    "outputs.field_csv": ("field_csv", *_OUTPUT_FILE),
-    "outputs.heatmap": ("heatmap_stem", *_FILE_NAME),
-    "outputs.report": ("report", *_OUTPUT_FILE),
+    "outputs.out_dir": (
+        "out_dir", _text, _directory, "a non-empty string naming an existing or new directory"
+    ),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 
@@ -296,67 +287,46 @@ def _pipeline(scn: Scenario) -> tuple[PhaseDistribution, FieldGrid]:
     return pd, total_field(scn.array, to_excitation(pd), grid)
 
 
-# the field heatmaps' layers, in the order they are written
-_LAYERS = ("Emag", "Ex", "Ey", "Ez")
-
-
-def output_names(cfg: SimulationConfig) -> dict[str, str]:
-    """Each output's file name in ``out_dir``, keyed by the config key that
-    sets it; the phase heatmap's name is fixed."""
-    names = {
-        "outputs.phase_csv": cfg.phase_csv,
-        "outputs.field_csv": cfg.field_csv,
-        "outputs.report": cfg.report,
-        "outputs.report (CSV twin)": str(Path(cfg.report).with_suffix(".csv")),
-    }
-    heatmaps = {f"outputs.heatmap ({tag})": f"{cfg.heatmap_stem}_{tag}.pgm" for tag in _LAYERS}
-    for key, name in {"the phase heatmap": "phase_wrapped.pgm", **heatmaps}.items():
-        names[key] = name
-        names[f"{key} sidecar"] = f"{name}.txt"
-    return names
-
-
-def _out(cfg: SimulationConfig, key: str) -> Path:
-    """The path of the output that ``key`` of :func:`output_names` names."""
+def _out(cfg: SimulationConfig, name: str) -> Path:
+    """The path of the output file ``name`` in ``out_dir``, which is created."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / output_names(cfg)[key]
+    return out_dir / name
 
 
-def _write_pgm(cfg: SimulationConfig, key: str, values, quantity: str, extra) -> Path:
+def _write_pgm(cfg: SimulationConfig, name: str, values, quantity: str, extra) -> list[Path]:
     """Write a heatmap and the sidecar that states its value mapping."""
-    path = _out(cfg, key)
+    path, sidecar = _out(cfg, name), _out(cfg, f"{name}.txt")
     lo, hi = heatmap.write_pgm16(values, path)
-    heatmap.write_sidecar(_out(cfg, f"{key} sidecar"), quantity, lo, hi, extra=extra)
-    return path
+    heatmap.write_sidecar(sidecar, quantity, lo, hi, extra=extra)
+    return [path, sidecar]
 
 
 def _write_report(cfg: SimulationConfig, entries: list[tuple[str, object]]) -> list[Path]:
     """Write the report text and its CSV twin."""
-    text_path = _out(cfg, "outputs.report")
-    csv_path = _out(cfg, "outputs.report (CSV twin)")
+    text_path, csv_path = _out(cfg, "report.txt"), _out(cfg, "report.csv")
     analysis.export_report_text(entries, text_path)
     analysis.export_report_csv(entries, csv_path)
     return [text_path, csv_path]
 
 
 def write_phase_outputs(cfg: SimulationConfig, pd: PhaseDistribution) -> list[Path]:
-    phase_path = _out(cfg, "outputs.phase_csv")
+    phase_path = _out(cfg, "phase.csv")
     export_phase_csv(pd, phase_path)
     axes = [("axes", "x (left-right), z (bottom-top)")]
     wrapped = wrap_phase(pd).phase_grid()
-    return [phase_path, _write_pgm(cfg, "the phase heatmap", wrapped, "wrapped_phase_rad", axes)]
+    return [phase_path, *_write_pgm(cfg, "phase_wrapped.pgm", wrapped, "wrapped_phase_rad", axes)]
 
 
 def write_field_outputs(cfg: SimulationConfig, fg: FieldGrid) -> list[Path]:
-    field_path = _out(cfg, "outputs.field_csv")
+    field_path = _out(cfg, "field.csv")
     export_field_csv(fg, field_path)
-    layers = (fg.magnitude(), np.abs(fg.ex), np.abs(fg.ey), np.abs(fg.ez))
+    layers = {"Emag": fg.magnitude(), "Ex": abs(fg.ex), "Ey": abs(fg.ey), "Ez": abs(fg.ez)}
     plane = [("plane", fg.grid.plane), ("offset_m", fg.grid.offset)]
     paths = [field_path]
-    for tag, values in zip(_LAYERS, layers):
-        key, values = f"outputs.heatmap ({tag})", values.reshape(fg.grid.shape)
-        paths.append(_write_pgm(cfg, key, values, f"|{tag}| V/m", plane))
+    for tag, values in layers.items():
+        values = values.reshape(fg.grid.shape)
+        paths += _write_pgm(cfg, f"field_{tag}.pgm", values, f"|{tag}| V/m", plane)
     return paths
 
 

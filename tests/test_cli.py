@@ -38,6 +38,20 @@ outputs:
 """
 
 
+# subcommand -> the files it writes in out_dir, in the order its `wrote` line lists them
+PHASE_OUTPUTS = ["phase.csv", "phase_wrapped.pgm", "phase_wrapped.pgm.txt"]
+FIELD_OUTPUTS = ["field.csv"] + [
+    f"field_{tag}.pgm{suffix}" for tag in ("Emag", "Ex", "Ey", "Ez") for suffix in ("", ".txt")
+]
+REPORT_OUTPUTS = ["report.txt", "report.csv"]
+OUTPUTS = {
+    "synthesize": PHASE_OUTPUTS,
+    "field": PHASE_OUTPUTS + FIELD_OUTPUTS,
+    "analyze": REPORT_OUTPUTS,
+    "run": PHASE_OUTPUTS + FIELD_OUTPUTS + REPORT_OUTPUTS,
+}
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.yaml"
     out_dir = tmp_path / "out"
@@ -106,16 +120,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
-    @pytest.mark.parametrize(
-        "key, field",
-        [
-            ("outputs.out_dir", "out_dir"),
-            ("outputs.phase_csv", "phase_csv"),
-            ("outputs.field_csv", "field_csv"),
-            ("outputs.heatmap", "heatmap_stem"),
-            ("outputs.report", "report"),
-        ],
-    )
+    @pytest.mark.parametrize("key, field", [("outputs.out_dir", "out_dir")])
     def test_empty_output_name_named(self, key, field):
         with pytest.raises(ConfigError, match=f"{key} must be a non-empty string"):
             SimulationConfig(**{field: ""}).validate()
@@ -158,9 +163,8 @@ class TestExitCodes:
             ("n_x: 6\n", "n_x: abc\n", "array.n_x"),
             ("resolution: [9, 7]", "resolution: [9.9, 7]", "observation.resolution"),
             ("out_dir: {out_dir}", "out_dir: 5", "outputs.out_dir"),
-            ("outputs:\n", "outputs:\n  phase_csv: null\n", "outputs.phase_csv"),
         ],
-        ids=["fractional", "boolean", "text", "fractional-resolution", "int-out-dir", "null-name"],
+        ids=["fractional", "boolean", "text", "fractional-resolution", "int-out-dir"],
     )
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, old, new, key):
         path, out_dir = write_config(tmp_path)
@@ -204,41 +208,35 @@ class TestExitCodes:
         assert "config error: observation.bounds_m" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize(
-        "names, command, first, second",
-        [
-            ("  report: report.csv\n", "run", "outputs.report", "outputs.report (CSV twin)"),
-            (
-                "  phase_csv: maps.csv\n  field_csv: maps.csv\n",
-                "field",
-                "outputs.phase_csv",
-                "outputs.field_csv",
-            ),
-            ("  phase_csv: report.csv\n", "run", "outputs.phase_csv", "outputs.report (CSV twin)"),
-        ],
-        ids=["report-and-its-twin", "phase-and-field", "phase-and-report-twin"],
-    )
-    def test_colliding_output_names_exit_2(self, tmp_path, capsys, names, command, first, second):
+    @pytest.mark.parametrize("key", ["phase_csv", "field_csv", "heatmap", "report"])
+    def test_removed_output_name_key_exits_2(self, tmp_path, capsys, key):
         path, out_dir = write_config(tmp_path)
-        path.write_text(path.read_text() + names)
-        assert main([command, "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {first} and {second} both name the output file ")
-        assert not out_dir.exists()
+        path.write_text(path.read_text() + f"  {key}: name.txt\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key: outputs.{key}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
     @pytest.mark.parametrize(
-        "name, key",
-        [(".", "outputs.report"), ("..", "outputs.report"), ("sub/..", "outputs.field_csv")],
-        ids=["report-dot", "report-dotdot", "field-csv-sub-dotdot"],
+        "name",
+        ["afile", "afile/sub", "dangling"],
+        ids=["file", "under-a-file", "dangling-symlink"],
     )
-    def test_output_name_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, name, key):
-        path, out_dir = write_config(tmp_path)
-        path.write_text(path.read_text() + f'  {key.split(".")[1]}: "{name}"\n')
-        assert main(["run", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} must be a non-empty string naming a file")
-        assert err.rstrip().endswith(f"got {name!r}")
-        assert not out_dir.exists()
+    def test_out_dir_that_cannot_be_a_directory_exits_2(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "synthesize", lambda *args: calls.append(args))
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        before = sorted(tmp_path.rglob("*"))
+        out_dir = str(tmp_path / name)
+        assert main(["run", "--nx", "8", "--nz", "8", "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == (
+            "config error: outputs.out_dir must be a non-empty string naming an existing "
+            f"or new directory, got {out_dir!r}\n"
+        )
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_scan_radius_inside_clearance_exits_2(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
@@ -381,21 +379,22 @@ class TestPipelineCommands:
         assert "estimated_azimuth_deg:" in report
         assert "propagation_range_m:" in report
 
-    @pytest.mark.parametrize(
-        "command, names",
-        [
-            ("field", ("phase.csv", "field.csv", "field_Emag.pgm")),
-            ("run", ("phase.csv", "field.csv", "field_Emag.pgm", "report.txt", "report.csv")),
-        ],
-        ids=["field", "run"],
-    )
-    def test_rerun_byte_identical(self, tmp_path, command, names):
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_writes_its_fixed_output_set(self, tmp_path, capsys, command):
         path, out_dir = write_config(tmp_path)
         assert main([command, "--config", str(path)]) == 0
-        first = {name: (out_dir / name).read_bytes() for name in names}
+        wrote = capsys.readouterr().out.splitlines()[-1]
+        assert wrote == "wrote " + ", ".join(str(out_dir / name) for name in OUTPUTS[command])
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUTS[command])
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_rerun_byte_identical(self, tmp_path, command):
+        path, out_dir = write_config(tmp_path)
+        again = tmp_path / "again"
         assert main([command, "--config", str(path)]) == 0
-        for name, blob in first.items():
-            assert (out_dir / name).read_bytes() == blob
+        assert main([command, "--config", str(path), "--out-dir", str(again)]) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert {p.name: p.read_bytes() for p in again.iterdir()} == first
 
     def test_csv_values_read_back_as_their_own_text(self, tmp_path):
         # Each value s in the phase and field CSVs must be format(float(s),
@@ -524,3 +523,12 @@ class TestReadme:
         assert sorted(flag for flag, _ in rows) == sorted(flags - {"-h", "--help"})
         overrides = {flag: key for flag, key in rows if key}
         assert overrides == {flag: key for flag, (key, _, _) in cli._FLAGS.items()}
+
+    def test_output_table_matches_outputs(self):
+        # rows whose first cell is a file name; the report-key table has none
+        row = r"^\| `(\w+\.[\w.]+)` \| ((?:`\w+`(?:, )?)+) \|"
+        rows = re.findall(row, README.read_text(), re.M)
+        assert sorted(name for name, _ in rows) == sorted(OUTPUTS["run"])
+        for name, writers in rows:
+            expected = [command for command, names in OUTPUTS.items() if name in names]
+            assert re.findall(r"`(\w+)`", writers) == expected, name
