@@ -4,13 +4,15 @@ grids, analyze beams, and run the validation suites.
 Angles are degrees at this boundary and radians everywhere inside.  All
 lengths in the config are meters except the element spacing, which is in
 wavelengths.  Exit codes: 0 success, 2 configuration error, 3 numerical or
-other internal failure.
+other internal failure.  A reader that closes standard output early
+(``nfbeam run | head -1``) changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -287,6 +289,25 @@ def _pipeline(scn: Scenario) -> tuple[PhaseDistribution, FieldGrid]:
     return pd, total_field(scn.array, to_excitation(pd), grid)
 
 
+def _echo(text: str) -> None:
+    """Print a line to standard output and flush it.
+
+    Once the reader has closed stdout (``nfbeam run | head -1``), the line
+    and every later one are dropped: the command still finishes and exits
+    with its own code, whether the reader closed before or after the last
+    line, and nothing is printed to stderr.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # point the stdout descriptor at os.devnull, as the Python docs' note
+        # on SIGPIPE does: later writes, and the flush at interpreter exit,
+        # then raise no BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _out(cfg: SimulationConfig, name: str) -> Path:
     """The path of the output file ``name`` in ``out_dir``, which is created."""
     out_dir = Path(cfg.out_dir)
@@ -372,7 +393,7 @@ def cmd_analyze(cfg: SimulationConfig) -> list[Path]:
     entries = run_analysis(scn, fg, pd, radius)
     paths = _write_report(cfg, entries)
     for key, value in entries:
-        print(f"{key}: {value}")
+        _echo(f"{key}: {value}")
     return paths
 
 
@@ -386,19 +407,19 @@ def cmd_run(cfg: SimulationConfig) -> list[Path]:
     elapsed = time.perf_counter() - start
     paths += _write_report(cfg, entries)
     summary = dict(entries)
-    print(
+    _echo(
         "peak direction: "
         f"az {summary['estimated_azimuth_deg']:.2f} deg, "
         f"el {summary['estimated_elevation_deg']:.2f} deg"
     )
-    print(
+    _echo(
         "polarization fractions (x, y, z): "
         f"{summary['power_fraction_x']:.3e}, "
         f"{summary['power_fraction_y']:.3e}, "
         f"{summary['power_fraction_z']:.3e}"
     )
     threads = kernels.WORKERS
-    print(f"runtime: {elapsed:.2f} s (numpy kernel, {threads} thread{'s' * (threads != 1)})")
+    _echo(f"runtime: {elapsed:.2f} s (numpy kernel, {threads} thread{'s' * (threads != 1)})")
     return paths
 
 
@@ -409,7 +430,7 @@ _FAILURES = (SolverFailure, OSError, ValueError, MemoryError)
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.list:
-        print("\n".join(CHECKS))
+        _echo("\n".join(CHECKS))
         return 0
     only = None
     if args.only is not None:
@@ -427,7 +448,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         line = f"{status} {res.name}  max_error={res.max_error:.3e} threshold={res.threshold:.3e}"
         if res.detail:
             line += f"  ({res.detail})"
-        print(line)
+        _echo(line)
     return 0 if all(res.passed for res in results) else 3
 
 
@@ -479,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except _FAILURES as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {', '.join(str(p) for p in paths)}")
+    _echo(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
 
 

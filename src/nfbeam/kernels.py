@@ -50,19 +50,27 @@ pairs, which share each phasor and azimuth across the K current rows.  A
 call splits its tiles into up to :data:`WORKERS` contiguous shares, one per
 CPU in the process's affinity mask: it starts a thread for each share but
 the last, runs the last itself and joins the threads before it returns, so
-no thread outlives a call.  numpy releases the GIL inside each operation on
-a tile, so the shares run in parallel.  Each call copies its current rows
-once, (row, z, point, column), repeated down a tile's points, so every
-current product runs numpy's vector loop over the tile's whole (point,
-column) plane, not over one row of columns; a multiply is elementwise, so
-the copy changes no bit.  The copy takes 16 bytes per row and pair of a tile
-(256 KiB per row at 16,384 pairs, 1 MiB for 4 rows) and is read by every
-share.  Each share computes in place in its own buffers, 80 bytes per
-(point, element) pair of a tile (1.25 MiB at 16,384 pairs; the 16 of w dz go
-unused by transverse calls, and of the 8 of dz only one per (z, point) is
-used on a shared-z lattice) and 72 + 48 K bytes per (point, column) for K
-current rows, and writes only its own points, so results do not depend on
-the number of workers.  A fault in any share is raised to the caller.
+no thread outlives a call.  The shares run in parallel only while numpy
+has released the GIL, and numpy holds it for each call's dispatch and for
+every loop of 500 elements or fewer.  The per-(point, column) calls run
+on the tile's points times its columns: at 32,768 pairs, 8 x 64 = 512
+elements on a 64 x 64 lattice, above that threshold, and 20 x 40 = 800 on
+a 40 x 40 one.  Larger tiles also make fewer calls per pair, and each
+share builds its buffers' views once, so a tile's Python work is its numpy
+calls, about 41 of them at K = 4.
+Each call copies its current rows once, (row, z, point, column), repeated
+down a tile's points, so every current product runs numpy's vector loop
+over the tile's whole (point, column) plane, not over one row of columns; a
+multiply is elementwise, so the copy changes no bit.  The copy takes 16
+bytes per row and pair of a tile (512 KiB per row at 32,768 pairs, 2 MiB
+for 4 rows) and is read by every share.  Each share computes in place in
+its own buffers and writes only its own points, so results do not depend
+on the number of workers.  The buffers take 56 bytes per (point, element)
+pair of a tile (1.75 MiB at 32,768 pairs; 40 in transverse calls, which
+form no w dz), the current products reusing the buffers of spent
+temporaries; 8 bytes per dz, one per (z, point) on a shared-z lattice and
+one per pair otherwise; and 72 + 48 K bytes per (point, column) for K
+current rows.  A fault in any share is raised to the caller.
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ MAX_ITERATIONS = 50
 RESIDUAL_TOL = 1e-12
 
 # (point, element) pairs per tile of the numpy kernel; read at each call
-TILE_PAIRS = 16384
+TILE_PAIRS = 32768
 
 # Threads of the numpy kernel: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -249,23 +257,47 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # 1), else (z, 1, column).
     xy, ze = cols
     axial, transverse = rows
-    floats, cplx, col_floats, col_weights, col_cplx = buffers
+    floats, dz_buf, cplx, col_floats, col_weights, col_cplx = buffers
     nz, ncol, zcol = ze.shape[0], xy.shape[2], ze.shape[2]
     npts = pts.shape[0]
     step = col_floats.shape[1]
-    for s in starts:
-        e = min(s + step, npts)
-        n = e - s
-        # per (point, column): rho^2 and the weights (cos, sin, -rho) of the
+    pts_xy, pts_z = pts[:, :2].T[:, :, None], pts[:, 2, None]
+
+    def views(n):
+        # the buffers' views for a tile of n points, made once per share for
+        # its full tiles, so a tile's Python work is its numpy calls.
+        # Per (point, column): rho^2 and the weights (cos, sin, -rho) of the
         # column sums, complex with imaginary parts 0, so that one complex
         # product weights the three sums with the roundings of real ones;
         # per current row and (point, column): the sums of I wz (twice) and
-        # of I w
+        # of I w.  Per pair: dz^2 is held in s2's buffer until s2 is
+        # computed, and the current products in t's and s2's, side by side,
+        # once w is.  cplx holds w and wz, or w alone in transverse calls:
+        # their rows carry dz already, so they take w.
         weights = col_weights[:, :n]
-        cs, rho = weights.real[:2], weights.real[2]
-        sq, rho2 = col_floats[:2, :n], col_floats[2, :n]
         sums = col_cplx[:, :, :n]
-        np.subtract(pts[s:e, :2].T[:, :, None], xy, out=cs)
+        size = nz * n * ncol
+        r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats)
+        prod = floats[1:].reshape(-1).view(np.complex128)[:size].reshape(nz, n, ncol)
+        w, wz = (c[:size].reshape(nz, n, ncol) for c in (cplx[0], cplx[-1]))
+        across = axial if transverse is None else transverse
+        products = [
+            (across[q, :, :n], axial[q, :, :n], sums[0, q], sums[2, q])
+            for q in range(axial.shape[0])
+        ]
+        dz, dz2 = (f[: nz * n * zcol].reshape(nz, n, zcol) for f in (dz_buf, floats[2]))
+        return (
+            weights.real[:2], weights.real[2], col_floats[:2, :n], col_floats[2, :n],
+            weights[:, None], sums, dz, dz2, r2, t, s2, w, w.real, w.imag, wz,
+            wz.real, wz.imag, prod, products,
+        )
+
+    full = views(step)
+    for s in starts:
+        e = min(s + step, npts)
+        (cs, rho, sq, rho2, weights, sums, dz, dz2, r2, t, s2, w, wr, wi, wz,
+         wzr, wzi, prod, products) = full if e - s == step else views(e - s)
+        np.subtract(pts_xy[:, s:e], xy, out=cs)
         np.multiply(cs, cs, out=sq)
         np.add(sq[0], sq[1], out=rho2)
         np.sqrt(rho2, out=rho)
@@ -278,40 +310,33 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         np.negative(rho, out=rho)
         # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2), and wz = w dz;
         # exp(-jkr) = (1 - js)^2 / (1 + s^2), so w.real = (1 - s^2) / d and
-        # w.imag = -2s / d with d = (1 + s^2) r^2.  dz^2 is held in s2's
-        # buffer until s2 is computed.
-        size = nz * n * ncol
-        dz, dz2 = (f[: nz * n * zcol].reshape(nz, n, zcol) for f in (floats[0], floats[3]))
-        r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats[1:])
-        w, wz, prod = (c[:size].reshape(nz, n, ncol) for c in cplx)
-        np.subtract(pts[s:e, 2, None], ze, out=dz)
+        # w.imag = -2s / d with d = (1 + s^2) r^2
+        np.subtract(pts_z[s:e], ze, out=dz)
         np.multiply(dz, dz, out=dz2)
         np.add(rho2, dz2, out=r2)
         np.sqrt(r2, out=t)
         np.multiply(t, 0.5 * k, out=t)
         np.tan(t, out=t)
         np.multiply(t, t, out=s2)
-        np.add(s2, 1.0, out=w.real)
-        np.multiply(w.real, r2, out=r2)
+        np.add(s2, 1.0, out=wr)
+        np.multiply(wr, r2, out=r2)
         np.subtract(1.0, s2, out=s2)
-        np.divide(s2, r2, out=w.real)
+        np.divide(s2, r2, out=wr)
         np.multiply(t, -2.0, out=t)
-        np.divide(t, r2, out=w.imag)
+        np.divide(t, r2, out=wi)
         if transverse is None:
-            np.multiply(w.real, dz, out=wz.real)
-            np.multiply(w.imag, dz, out=wz.imag)
+            np.multiply(wr, dz, out=wzr)
+            np.multiply(wi, dz, out=wzi)
         # Ex and Ey are the column sums of I wz weighted by cos and sin, Ez
         # the column sums of I w weighted by -rho, each then summed over the
-        # columns, for all current rows at once; transverse rows carry dz
-        # already, so they take w
-        across, wa = (axial, wz) if transverse is None else (transverse, w)
-        for q in range(axial.shape[0]):
-            np.multiply(across[q, :, :n], wa, out=prod)
-            np.add.reduce(prod, axis=0, out=sums[0, q])
-            np.multiply(axial[q, :, :n], w, out=prod)
-            np.add.reduce(prod, axis=0, out=sums[2, q])
+        # columns, for all current rows at once
+        for across, along, sum_xy, sum_z in products:
+            np.multiply(across, wz, out=prod)
+            np.add.reduce(prod, axis=0, out=sum_xy)
+            np.multiply(along, w, out=prod)
+            np.add.reduce(prod, axis=0, out=sum_z)
         np.copyto(sums[1], sums[0])
-        np.multiply(sums, weights[:, None], out=sums)
+        np.multiply(sums, weights, out=sums)
         np.add.reduce(sums, axis=3, out=out[:, :, s:e])
 
 
@@ -381,9 +406,11 @@ def field_sum(
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]
     # the shares' buffers come from the calling thread: allocated in the
     # workers, they land in per-thread malloc arenas that stay resident
+    zcol = cols[1].shape[2]
     buffers = (
-        np.empty((nw, 4, step * nelem)),
-        np.empty((nw, 3, step * nelem), np.complex128),
+        np.empty((nw, 3, step * nelem)),
+        np.empty((nw, step * nz * zcol)),
+        np.empty((nw, 1 if transverse is not None else 2, step * nelem), np.complex128),
         np.empty((nw, 3, step, ncol)),
         np.zeros((nw, 3, step, ncol), np.complex128),
         np.empty((nw, 3, nk, step, ncol), np.complex128),

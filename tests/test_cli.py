@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import math
+import os
 import re
 import subprocess
 import sys
@@ -287,8 +288,8 @@ class TestExitCodes:
         assert not (out_dir / "field.csv").exists()
 
     def test_fault_in_kernel_worker_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the scan's coarse call spans three tiles over two workers; a fault
-        # in the share run by the worker thread must surface as exit 3
+        # the scan's coarse call spans two tiles or more over two workers; a
+        # fault in the share run by the worker thread must surface as exit 3
         tiles = kernels._tiles
 
         def faulty(elems, rows, pts, k, out, starts, *buffers):
@@ -302,6 +303,31 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 3
         assert capsys.readouterr().err == "failure: injected kernel fault\n"
         assert not (out_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_0(self, tmp_path, unbuffered):
+        # a reader that closes stdout at once, or after 10 bytes like
+        # `| head -c 10`, before or after the run's later lines: each run
+        # exits 0 with nothing on stderr and writes every output file
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for run, read in enumerate((0, 10, 0, 10)):
+            out_dir = tmp_path / str(run)
+            argv = ["run", "--nx", "8", "--nz", "8", "--out-dir", str(out_dir)]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "nfbeam.cli", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 0
+            assert err == b""
+            assert len(list(out_dir.iterdir())) == 14
 
     def test_success_exit_0(self, tmp_path):
         path, out_dir = write_config(tmp_path)

@@ -1,11 +1,13 @@
 import cmath
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nfbeam import analysis, kernels
+from nfbeam.cli import SimulationConfig, analysis_radius, build_scenario
 from nfbeam.field import (
     ClearanceViolation,
     CoincidentPoint,
@@ -23,6 +25,7 @@ from nfbeam.wavefront import Wavefront, steer
 
 WAVELENGTH = 0.003
 K = 2.0 * math.pi / WAVELENGTH
+DEFAULT = SimulationConfig()
 
 
 # Scalar single-element field model: the oracle that field_sum is checked against.
@@ -391,6 +394,49 @@ class TestMirrorFolding:
             for other in fields[1:]:
                 for x, y in zip(fields[0], other):
                     np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_tile_budget_changes_no_bit(self, monkeypatch):
+        # the tile budget sets how many points share a tile and how the tiles
+        # split over the workers, never a bit of a result: the default 81x81
+        # xy grid (on z = 0) and the direction scan of a steered 40x40 array,
+        # and a symmetric xz grid of a 64x64 one (K = 4, a few points per tile)
+        def pipeline():
+            scans = []
+            scan = analysis._scan_magnitude
+
+            def recorded(*args):
+                scans.append(scan(*args))
+                return scans[-1]
+
+            monkeypatch.setattr(analysis, "_scan_magnitude", recorded)
+            fields = []
+            for n, plane, bounds, resolution, offset in (
+                (40, "xy", DEFAULT.obs_bounds, DEFAULT.obs_resolution, DEFAULT.obs_offset_m),
+                (64, "xz", ((-0.02, 0.02), (-0.02, 0.02)), (33, 33), 0.1),
+            ):
+                cfg = replace(DEFAULT, n_x=n, n_z=n, azimuth_deg=12.0, elevation_deg=-7.0)
+                scn = build_scenario(cfg)
+                exc = to_excitation(synthesize(scn.array, steer(scn.wavefront, scn.angles)))
+                grid = ObservationGrid.plane_grid(plane, *bounds, *resolution, offset=offset)
+                fg = total_field(scn.array, exc, grid)
+                fields += [fg.ex, fg.ey, fg.ez]
+                if n == 40:
+                    beam = analysis.estimate_direction(scn.array, exc, analysis_radius(scn))
+            monkeypatch.setattr(analysis, "_scan_magnitude", scan)
+            return fields, scans, beam
+
+        budget = kernels.TILE_PAIRS
+        monkeypatch.setattr(kernels, "TILE_PAIRS", budget // 2)
+        half = pipeline()
+        monkeypatch.setattr(kernels, "TILE_PAIRS", budget)
+        full = pipeline()
+        for arrays_half, arrays_full in zip(half[:2], full[:2]):
+            assert len(arrays_half) == len(arrays_full) > 0
+            for x, y in zip(arrays_half, arrays_full):
+                np.testing.assert_array_equal(x, y)
+        assert half[2].estimated_azimuth == full[2].estimated_azimuth
+        assert half[2].estimated_elevation == full[2].estimated_elevation
+        np.testing.assert_array_equal(half[2].peak_point, full[2].peak_point)
 
 
 class TestMirrorPairSums:

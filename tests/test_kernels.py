@@ -185,6 +185,11 @@ def test_column_length():
     assert kernels._column_length(np.zeros((0, 3))) == 1
 
 
+# points per tile of field_sum with 40 elements: the cases below state tile
+# counts, which hold for any TILE_PAIRS, and their ids name no point count
+STEP_40 = kernels.TILE_PAIRS // 40
+
+
 class TestWorkerCount:
     # the numpy kernel splits its tiles over WORKERS threads; pinning
     # WORKERS runs it on each count
@@ -192,11 +197,14 @@ class TestWorkerCount:
     @pytest.mark.parametrize(
         "nelem, npts",
         [
-            (40, 2000),  # 5 tiles of 409 points, the last one short
-            (40, 500),  # 2 tiles: more workers than tiles at 3
-            (40, 300),  # a single tile
+            # the last of the 5 tiles is short
+            pytest.param(40, 4 * STEP_40 + STEP_40 // 2, id="40-5_tiles"),
+            # more workers than tiles at 3
+            pytest.param(40, STEP_40 + STEP_40 // 4, id="40-2_tiles"),
+            pytest.param(40, 3 * STEP_40 // 4, id="40-1_tile"),
             (40, 0),
-            (kernels.TILE_PAIRS + 5, 7),  # M above the tile budget: a point per tile
+            # a point per tile
+            pytest.param(kernels.TILE_PAIRS + 5, 7, id="M_above_budget-7"),
         ],
     )
     def test_results_equal_for_any_worker_count(self, monkeypatch, rng, nelem, npts, nk):
@@ -227,7 +235,7 @@ class TestWorkerCount:
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, rng):
         # 10 tiles over 8 threads that the interpreter switches between every
         # microsecond: each still writes only its own slice of the output
-        pos, cur, pts, k = field_sum_case(rng, 40, 4000, 3)
+        pos, cur, pts, k = field_sum_case(rng, 40, 9 * STEP_40 + STEP_40 // 2, 3)
         monkeypatch.setattr(kernels, "WORKERS", 1)
         want = kernels.field_sum(pos, cur, pts, k)
         monkeypatch.setattr(kernels, "WORKERS", 8)
@@ -244,8 +252,9 @@ class TestWorkerCount:
     def test_fault_in_second_share_reaches_caller(self, monkeypatch, rng, workers):
         # 5 tiles: the point in the middle tile falls in the second share,
         # run by a worker thread at 3 workers and by the caller at 2
-        pos, cur, pts, k = field_sum_case(rng, 40, 2000, 3)
-        step = kernels.TILE_PAIRS // 40
+        npts = 4 * STEP_40 + STEP_40 // 2
+        pos, cur, pts, k = field_sum_case(rng, 40, npts, 3)
+        middle = npts // 2
         tiles = kernels._tiles
         ran = []
 
@@ -254,7 +263,7 @@ class TestWorkerCount:
 
         def faulty(elems, rows, pts, k, out, starts, *buffers):
             ran.append(starts)
-            if any(s <= 1000 < s + step for s in starts):
+            if any(s <= middle < s + STEP_40 for s in starts):
                 raise Fault("second share")
             tiles(elems, rows, pts, k, out, starts, *buffers)
 
