@@ -374,8 +374,11 @@ class TestFieldSum:
             (2, 9000),
             (3, 9000),
             (9, 9000),
-            (kernels.TILE_PAIRS // 2 + 5, 4),
-            (kernels.TILE_PAIRS + 5, 4),
+            # at a 32,768-pair budget: tiles of 3 points, the last one short
+            (8197, 4),
+            # at a 32,768-pair budget: two points do not fit, one per tile
+            (16389, 4),
+            pytest.param(kernels.TILE_PAIRS + 5, 4, id="M_above_budget-4"),
         ],
     )
     def test_point_alone_equals_point_in_tile(self, rng, nelem, npts, nk):
