@@ -42,7 +42,7 @@ from .synthesis import (
     to_excitation,
     wrap_phase,
 )
-from .validation import CHECKS, DEFAULT_CASES, DEFAULT_SEED, SelectionError, run_validation
+from .validation import CHECKS, SelectionError, run_validation
 from .wavefront import CONE, Wavefront, steer
 
 
@@ -289,7 +289,7 @@ def _pipeline(scn: Scenario) -> tuple[PhaseDistribution, FieldGrid]:
     return pd, total_field(scn.array, to_excitation(pd), grid)
 
 
-def _echo(text: str) -> None:
+def _echo(text: str, end: str = "\n") -> None:
     """Print a line to standard output and flush it.
 
     Once the reader has closed stdout (``nfbeam run | head -1``), the line
@@ -298,7 +298,7 @@ def _echo(text: str) -> None:
     line, and nothing is printed to stderr.
     """
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except BrokenPipeError:
         # point the stdout descriptor at os.devnull, as the Python docs' note
         # on SIGPIPE does: later writes, and the flush at interpreter exit,
@@ -436,7 +436,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
     try:
-        results = run_validation(only=only, seed=args.seed, cases=args.cases)
+        results = run_validation(only=only)
     except SelectionError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -475,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if handler is cmd_validate:
             p.add_argument("--only", help="comma-separated subset of checks to run")
-            p.add_argument(
-                "--cases", type=int, default=DEFAULT_CASES, help="solver-oracle random cases"
-            )
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
             p.add_argument("--list", action="store_true", help="list available checks")
         else:
             p.add_argument("--config", help="YAML configuration file")
@@ -488,7 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse has printed help or usage: flush it as _echo flushes a line
+        _echo("", end="")
+        raise
     if args.handler is cmd_validate:
         return cmd_validate(args)
     try:

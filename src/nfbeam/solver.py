@@ -20,6 +20,7 @@ This module holds the solver's references: the plane's angle form
 (:func:`cone_distance_closed_form`) and a brute-force squared-distance
 minimizer over a dense grid (:func:`oracle_signed_min_distance`), which
 also backs :func:`synthesis.synthesize` up where Newton does not converge.
+It evaluates only the block of the grid that can hold the minimum.
 """
 
 from __future__ import annotations
@@ -78,17 +79,42 @@ def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:
     return x1 if f1 <= f2 else x2
 
 
+def _grid_argmin(base, xs: np.ndarray, zs: np.ndarray, xe, ye, ze) -> tuple[int, int, float]:
+    """Row, column and value of the first minimum, row-major, of the squared
+    distance on the grid xs x zs.  Rounding is monotone, so a cell's value is
+    at least fl(dx^2 + dz^2); the rows and columns where that exceeds the
+    minimum over every 50th row and column, plus four ulps for a ufunc's last
+    bits, are skipped.  The block left keeps row-major order, so the result
+    is the full grid's, bit for bit; a NaN bound keeps the whole grid."""
+
+    def squared_distances(x, z):
+        fvals = surface_eval(base, x[:, None], z[None, :])
+        return (x[:, None] - xe) ** 2 + (fvals - ye) ** 2 + (z[None, :] - ze) ** 2
+
+    bound = np.min(squared_distances(xs[::50], zs[::50]))
+    bound += 4 * np.spacing(bound)
+    dx2, dz2 = (xs - xe) ** 2, (zs - ze) ** 2
+    rows = np.flatnonzero(~(dx2 + np.min(dz2) > bound))
+    cols = np.flatnonzero(~(dz2 + np.min(dx2) > bound))
+    r0, c0 = rows[0], cols[0]
+    fd = squared_distances(xs[r0 : rows[-1] + 1], zs[c0 : cols[-1] + 1])
+    i, j = np.unravel_index(np.argmin(fd), fd.shape)
+    return r0 + i, c0 + j, float(fd[i, j])
+
+
 def oracle_signed_min_distance(
     w: SteeredWavefront, element_pos: np.ndarray, cfg: SolverConfig | None = None
 ) -> float:
     """Brute-force signed distance, used when Newton declines on a surface.
 
-    Evaluates (x - x_e)^2 + (f(x, z) - y_e)^2 + (z - z_e)^2 on an
-    :data:`ORACLE_GRID`-squared lattice in the steered frame, then refines
-    with one golden-section pass per axis around the best cell; the grid
-    stage alone is within one cell diagonal of the true minimum.  The sign
-    is read off the line parameter t = f(x*, z*) - y_e at the argmin,
-    matching the :func:`kernels.nearest_feet` convention.
+    Minimizes (x - x_e)^2 + (f(x, z) - y_e)^2 + (z - z_e)^2 over an
+    :data:`ORACLE_GRID`-squared lattice on the search box in the steered
+    frame, then refines with one golden-section pass per axis around the
+    best cell; the grid stage alone is within one cell diagonal of the true
+    minimum.  The box sets that diagonal; the block of cells that can hold
+    the minimum (:func:`_grid_argmin`) sets the cost.  The sign is read off
+    the line parameter t = f(x*, z*) - y_e at the argmin, matching the
+    :func:`kernels.nearest_feet` convention.
     """
     base = w.base
     pe = to_primed(w.rotation, element_pos)
@@ -101,10 +127,7 @@ def oracle_signed_min_distance(
     xs = np.linspace(xe - hw, xe + hw, n)
     zs = np.linspace(ze - hw, ze + hw, n)
 
-    fvals = surface_eval(base, xs[:, None], zs[None, :])
-    fd = (xs[:, None] - xe) ** 2 + (fvals - ye) ** 2 + (zs[None, :] - ze) ** 2
-    i, j = np.unravel_index(np.argmin(fd), fd.shape)
-    best = float(fd[i, j])
+    i, j, best = _grid_argmin(base, xs, zs, xe, ye, ze)
 
     def fd_at(x: float, z: float) -> float:
         f = surface_eval(base, x, z)

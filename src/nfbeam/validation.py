@@ -26,9 +26,7 @@ from .synthesis import (
 )
 from .wavefront import Wavefront, steer, surface_gradient
 
-# defaults of ``nfbeam validate --cases`` and ``--seed``
-DEFAULT_CASES = 40
-DEFAULT_SEED = 20240901
+_SEED = 20240901  # every check draws from its own generator with this seed
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,7 @@ def check_plane_closed_form_regression(rng: np.random.Generator) -> CheckResult:
     return CheckResult("plane_closed_form_regression", worst <= 1e-9, worst, 1e-9)
 
 
-def check_solver_oracle_equivalence(
-    rng: np.random.Generator, cases: int = DEFAULT_CASES
-) -> CheckResult:
+def check_solver_oracle_equivalence(rng: np.random.Generator) -> CheckResult:
     # each case is a one-row kernels.nearest_feet call in the steered frame;
     # the refined oracle (grid plus golden-section polish) is far tighter
     # than its worst-case cell-diagonal bound, so this check holds the
@@ -95,12 +91,12 @@ def check_solver_oracle_equivalence(
     threshold = 1e-7
     worst = 0.0
     detail = ""
-    # plane and cone cases first, then custom-surface cases
-    for case in range(cases + max(1, cases // 4)):
+    # 40 plane and cone cases first, then 10 custom-surface cases
+    for case in range(50):
         angles = SteeringAngles.from_degrees(
             rng.uniform(-45.0, 45.0), rng.uniform(-45.0, 45.0)
         )
-        if case >= cases:
+        if case >= 40:
             base = _CUSTOM
         elif rng.uniform() < 0.5:
             base = Wavefront.plane()
@@ -172,32 +168,17 @@ CHECKS: dict[str, Callable] = {
 
 
 class SelectionError(ValueError):
-    """The selection names an unknown check or no check at all, asks for
-    fewer than one solver-oracle case, or gives a negative seed."""
+    """The selection names an unknown check or no check at all."""
 
 
-def run_validation(
-    only: list[str] | None = None, seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES
-) -> list[CheckResult]:
-    """Run the selected checks; raises SelectionError on an unknown or empty
-    selection, on ``cases`` below 1 or on a negative ``seed``, before any
-    check runs."""
-    if cases < 1:
-        raise SelectionError("--cases must be at least 1")
-    if seed < 0:
-        raise SelectionError("--seed must be a non-negative integer")
-    names = list(CHECKS) if only is None else [n for n in only if n in CHECKS]
-    if only is not None:
-        unknown = [n for n in only if n not in CHECKS]
-        if unknown:
-            raise SelectionError(f"unknown checks: {', '.join(unknown)}")
+def run_validation(only: list[str] | None = None) -> list[CheckResult]:
+    """Run the selected checks, each with a generator seeded by :data:`_SEED`;
+    raises SelectionError on an unknown or empty selection before any check
+    runs."""
+    names = list(CHECKS) if only is None else only
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise SelectionError(f"unknown checks: {', '.join(unknown)}")
     if not names:
         raise SelectionError("no checks selected")
-    results = []
-    for name in names:
-        rng = np.random.default_rng(seed)
-        if name == "solver_oracle_equivalence":
-            results.append(CHECKS[name](rng, cases=cases))
-        else:
-            results.append(CHECKS[name](rng))
-    return results
+    return [CHECKS[name](np.random.default_rng(_SEED)) for name in names]

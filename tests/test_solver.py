@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nfbeam import kernels, solver
+from nfbeam import kernels, solver, validation
 from nfbeam.geometry import SteeringAngles, to_primed
 from nfbeam.solver import (
     SolverConfig,
@@ -17,12 +18,6 @@ from nfbeam.wavefront import Wavefront, steer, surface_eval
 WAVELENGTH = 0.003
 # point-to-ray reduction in the meridian half-plane: rho * (h/r) / sqrt(1 + (h/r)^2)
 UNSTEERED_CONE_D_RHO1 = 0.2 / math.sqrt(1.04)
-
-
-@pytest.fixture
-def coarse_oracle(monkeypatch):
-    """A 501-point oracle grid, which keeps these tests fast."""
-    monkeypatch.setattr(solver, "ORACLE_GRID", 501)
 
 
 def nearest_row(sw, pos):
@@ -169,19 +164,16 @@ class TestOracle:
         ref = abs(plane_distance_closed_form(angles, pos))
         assert abs(d - ref) <= oracle_cell_diagonal(cfg)
 
-    @pytest.mark.usefixtures("coarse_oracle")
     def test_unsteered_cone_small_radius(self):
         sw = steer(Wavefront.cone(0.2), SteeringAngles(0.0, 0.0))
         d = abs(oracle_signed_min_distance(sw, np.array([0.05, 0.0, 0.0])))
         assert d == pytest.approx(0.05 * math.sin(math.atan(0.2)), abs=1e-9)
         assert d == pytest.approx(0.0098058, abs=1e-6)
 
-    @pytest.mark.usefixtures("coarse_oracle")
     def test_zero_for_element_at_origin(self):
         sw = steer(Wavefront.cone(0.3), SteeringAngles.from_degrees(15.0, -25.0))
         assert abs(oracle_signed_min_distance(sw, np.zeros(3))) <= 1e-12
 
-    @pytest.mark.usefixtures("coarse_oracle")
     def test_newton_oracle_equivalence_randomized(self, rng):
         for _ in range(30):
             if rng.uniform() < 0.5:
@@ -197,7 +189,6 @@ class TestOracle:
             oracle = abs(oracle_signed_min_distance(sw, pos, cfg))
             assert abs(newton - oracle) <= oracle_cell_diagonal(cfg)
 
-    @pytest.mark.usefixtures("coarse_oracle")
     def test_signed_oracle_matches_newton_sign(self, rng):
         for _ in range(10):
             m = rng.uniform(0.1, 0.4)
@@ -209,6 +200,97 @@ class TestOracle:
                 newton
             ) < 1e-9
             assert signed == pytest.approx(newton, abs=1e-6)
+
+
+def full_grid_argmin(base, xs, zs, xe, ye, ze):
+    """The oracle's grid stage over every cell: the bounded search's reference."""
+    fvals = surface_eval(base, xs[:, None], zs[None, :])
+    fd = (xs[:, None] - xe) ** 2 + (fvals - ye) ** 2 + (zs[None, :] - ze) ** 2
+    i, j = np.unravel_index(np.argmin(fd), fd.shape)
+    return i, j, float(fd[i, j])
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def oracle_with(monkeypatch, argmin, sw, pos, cfg=None):
+    """The oracle's signed distance with ``argmin`` as its grid stage, that
+    stage's (row, column, value) and the largest grid it evaluated."""
+    stages, sizes = [], [0]
+    surface = solver.surface_eval
+
+    def recording_argmin(*args):
+        stages.append(argmin(*args))
+        return stages[-1]
+
+    def recording_surface(base, x, z):
+        sizes.append(np.broadcast(x, z).size)
+        return surface(base, x, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_grid_argmin", recording_argmin)
+        m.setattr(solver, "surface_eval", recording_surface)
+        d = oracle_signed_min_distance(sw, pos, cfg)
+    (i, j, best), = stages
+    return d, (int(i), int(j), bits(best)), max(sizes)
+
+
+def assert_full_grid_result(monkeypatch, sw, pos, cfg=None):
+    """The bounded oracle returns the full grid's bits; returns the grid
+    stage's (row, column, value bits) and the bounded search's largest grid."""
+    d, stage, evaluated = oracle_with(monkeypatch, solver._grid_argmin, sw, pos, cfg)
+    ref, ref_stage, _ = oracle_with(monkeypatch, full_grid_argmin, sw, pos, cfg)
+    assert stage == ref_stage
+    assert bits(d) == bits(ref)
+    return stage, evaluated
+
+
+class TestBoundedSearch:
+    @pytest.mark.parametrize(
+        "base",
+        [
+            Wavefront.plane(),
+            Wavefront.cone(0.3),
+            validation._CUSTOM,
+            Wavefront.custom(lambda x, z: 0.05 * np.expm1(x) + 0.1 * (np.cos(z) - 1.0)),
+        ],
+        ids=["plane", "cone", "custom", "custom_no_gradient"],
+    )
+    def test_bit_identical_to_full_grid(self, monkeypatch, rng, base):
+        for case in range(5):
+            sw = steer(base, SteeringAngles.from_degrees(*rng.uniform(-45.0, 45.0, 2)))
+            pos = np.array([rng.uniform(-0.075, 0.075), 0.0, rng.uniform(-0.075, 0.075)])
+            # the default box and synthesize's box for a 0.15 m aperture
+            cfg = SolverConfig(oracle_halfwidth=0.6) if case % 2 else None
+            _, evaluated = assert_full_grid_result(monkeypatch, sw, pos, cfg)
+            assert evaluated < solver.ORACLE_GRID**2
+
+    def test_minimum_on_box_edge(self, monkeypatch):
+        # the surface y = 1 - x is nearest at x = 0.505, beyond the box's
+        # last row x = 0.05; a minimum on the edge is at least the box's
+        # halfwidth away, so the block is clipped to the whole grid
+        sw = steer(Wavefront.custom(lambda x, z: 1.0 - x), SteeringAngles(0.0, 0.0))
+        (i, j, _), _ = assert_full_grid_result(monkeypatch, sw, np.array([0.01, 0.0, 0.0]))
+        assert i == solver.ORACLE_GRID - 1
+        assert 0 < j < solver.ORACLE_GRID - 1
+
+    def test_minimum_on_strided_cell(self, monkeypatch):
+        # the unsteered plane is nearest at the box's center, a strided cell
+        sw = steer(Wavefront.plane(), SteeringAngles(0.0, 0.0))
+        (i, j, _), _ = assert_full_grid_result(monkeypatch, sw, np.array([0.01, 0.0, 0.02]))
+        assert (i, j) == (solver.ORACLE_GRID // 2, solver.ORACLE_GRID // 2)
+        assert i % 50 == 0
+
+    def test_traced_peak_below_16_mb(self):
+        sw = steer(Wavefront.cone(0.2), SteeringAngles.from_degrees(20.0, -10.0))
+        tracemalloc.start()
+        try:
+            oracle_signed_min_distance(sw, np.array([0.05, 0.0, -0.03]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestRotationIsometry:
