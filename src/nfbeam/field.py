@@ -15,16 +15,17 @@ lattice reversed along x and along z:
     E(x, y, -z; I) = diag(-1, -1, 1) E(x, y, z; I∘Mz)
 
 :func:`total_field` uses them to evaluate every point at its representative
-(|x|, y, |z|), once per mirror current that the point set needs, in one
-multi-current ``kernels.field_sum`` call.  On z = 0 a point is its own z
-mirror, so there the elements pair up across z = 0 instead, and each pair's
-two currents are summed before the kernel: over the z <= 0 half of the
-lattice, Ez takes A = I + I∘Mz and Ex and Ey take B = I - I∘Mz, whose sign
-is the Ex and Ey sign flip of the z mirror.  One A row and one B row per
-mirror current replace the rows I and I∘Mz.  A point's value depends only
-on the point, the array and the currents, never on which other points share
-the call, and each point's sum over elements runs in a fixed order (see
-``kernels``), so repeated runs are bit-identical.
+(|x|, y, |z|), once per mirror current that its family needs (the points
+on z = 0, or the rest), in multi-current ``kernels.field_sum`` calls.  On
+z = 0 a point is its own z mirror, so there the elements pair up across
+z = 0 instead, and each pair's two currents are summed before the kernel:
+over the z <= 0 half of the lattice, Ez takes A = I + I∘Mz and Ex and Ey
+take B = I - I∘Mz, whose sign is the Ex and Ey sign flip of the z mirror.
+One A row and one B row per mirror current replace the rows I and I∘Mz.  A
+point's value depends only on the point, the array and the currents, never
+on which other points share the call, and each point's sum over elements
+runs in a fixed order (see ``kernels``), so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -187,15 +188,12 @@ def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
 
 
 def _fold(points: np.ndarray):
-    """Group the points by mirror representative (|x|, y, |z|) and plan the
-    ``field_sum`` calls.
+    """Group the points by mirror representative (|x|, y, |z|).
 
     Returns the point order, each sorted point's flip code (bit 0: x < 0,
     bit 1: z < 0), the start of each representative's run of sorted points
-    (closed by the point count), the representatives, and the calls as
-    (on z = 0, bit mask of the flip codes to evaluate, first and end
-    representative): one call per family, on and off z = 0, carrying every
-    flip code that the family's points need.
+    (closed by the point count) and the representatives, those on z = 0
+    first.
     """
     # |z| leads the sort, so the representatives on z = 0 come first; y + 0.0
     # turns -0.0 into 0.0, so equal representatives are equal to the bit
@@ -207,14 +205,7 @@ def _fold(points: np.ndarray):
     first = np.ones(len(rep), bool)
     first[1:] = (rep[1:] != rep[:-1]).any(axis=1)
     starts = np.append(np.flatnonzero(first), len(rep))
-    reps = rep[starts[:-1]]
-    on_plane = int(np.searchsorted(reps[:, 2], 0.0, side="right"))
-    calls = []
-    for paired, lo, hi in ((True, 0, on_plane), (False, on_plane, len(reps))):
-        if lo < hi:
-            need = np.left_shift(np.uint8(1), flip[starts[lo] : starts[hi]])
-            calls.append((paired, int(np.bitwise_or.reduce(need)), lo, hi))
-    return order, flip, starts, reps, calls
+    return order, flip, starts, rep[starts[:-1]]
 
 
 def _mirrored(cur: np.ndarray, flip: int) -> np.ndarray:
@@ -232,48 +223,48 @@ def total_field(
 
     Each point is evaluated at its mirror representative (|x|, y, |z|) with
     the mirror current it needs, and signed back (see the module
-    docstring).  Points off z = 0 sum over the whole lattice with one of
+    docstring).  The representatives form two families, those on z = 0 and
+    the rest; each family carries one current row per flip code that its
+    points need.  Points off z = 0 sum over the whole lattice with one of
     I, I∘Mx, I∘Mz and I∘Mx∘Mz.  Points on z = 0, -0.0 included, sum over
     the rows z <= 0 with the pair I and I∘Mz, or I∘Mx and I∘Mx∘Mz, summed
     before the kernel: A = I + I∘Mz for Ez and B = I - I∘Mz for Ex and Ey,
     passed as ``field_sum``'s axial and transverse rows.  The middle row of
     an odd n_z pairs with itself, so its mirror current is 0 and A = B = I
-    there.  Calls run in blocks of at most :data:`BLOCK_PAIRS` (current row,
-    point) pairs, A and B rows both counted.
+    there.  Each family is cut into ``field_sum`` calls of at most
+    :data:`BLOCK_PAIRS` (current row, point) pairs, A and B rows both
+    counted.
     """
     if exc.currents.shape != (array.num_elements,):
         raise ValueError(
-            f"excitation has {exc.currents.shape[0]} currents for "
-            f"{array.num_elements} elements"
+            f"excitation currents have shape {exc.currents.shape}; "
+            f"({array.num_elements},) needed, one per element"
         )
     validate_clearance(array, grid)
-    npts = grid.num_points
-    ex = np.empty(npts, np.complex128)
-    ey = np.empty(npts, np.complex128)
-    ez = np.empty(npts, np.complex128)
-    if npts == 0:
-        return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
+    ex, ey, ez = np.empty((3, grid.num_points), np.complex128)
     k = wavenumber(array.wavelength)
-    order, flip, starts, reps, calls = _fold(grid.points)
+    order, flip, starts, reps = _fold(grid.points)
     cur = exc.currents.reshape(array.n_x, array.n_z)
     half = (array.n_z + 1) // 2
     positions = array.element_positions.reshape(array.n_x, array.n_z, 3)
-    for paired, mask, lo, hi in calls:
-        codes = [f for f in range(4) if mask >> f & 1]
+    on_plane = int(np.searchsorted(reps[:, 2], 0.0, side="right"))
+    for paired, lo, hi in ((True, 0, on_plane), (False, on_plane, len(reps))):
+        if lo == hi:
+            continue
+        # the flip codes this family's points need, and each code's row
+        needed = np.bincount(flip[starts[lo] : starts[hi]], minlength=4) > 0
+        codes, slot = np.flatnonzero(needed), np.cumsum(needed) - 1
+        rows = np.stack([_mirrored(cur, f) for f in codes])
         if paired:
+            # the z mirror of rows I and I∘Mx is their z-reversed slice; the
+            # middle row of an odd n_z has no mirror
             elems = positions[:, :half].reshape(-1, 3)
-            own = np.stack([_mirrored(cur, f)[:, :half] for f in codes])
-            mirror = np.stack([_mirrored(cur, f | 2)[:, :half] for f in codes])
-            if array.n_z % 2:
-                mirror[:, :, -1] = 0.0
-            own, mirror = own.reshape(len(codes), -1), mirror.reshape(len(codes), -1)
-            currents, transverse = own + mirror, own - mirror
+            own, has_mirror = rows[:, :, :half], np.arange(half) < array.n_z // 2
+            mirror = np.where(has_mirror, rows[:, :, ::-1][:, :, :half], 0)
+            currents, transverse = (c.reshape(len(c), -1) for c in (own + mirror, own - mirror))
         else:
             elems = positions.reshape(-1, 3)
-            currents = np.stack([_mirrored(cur, f).ravel() for f in codes])
-            transverse = None
-        slot = np.zeros(4, np.intp)
-        slot[codes] = np.arange(len(codes))
+            currents, transverse = rows.reshape(len(rows), -1), None
         block = max(1, BLOCK_PAIRS // (len(codes) * (2 if paired else 1)))
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)

@@ -70,7 +70,8 @@ pair of a tile (1.75 MiB at 32,768 pairs; 40 in transverse calls, which
 form no w dz), the current products reusing the buffers of spent
 temporaries; 8 bytes per dz, one per (z, point) on a shared-z lattice and
 one per pair otherwise; and 72 + 48 K bytes per (point, column) for K
-current rows.  A fault in any share is raised to the caller.
+current rows.  Every share runs to its end; the first fault that any share
+records is then raised to the caller.
 """
 
 from __future__ import annotations
@@ -415,26 +416,22 @@ def field_sum(
         np.zeros((nw, 3, step, ncol), np.complex128),
         np.empty((nw, 3, nk, step, ncol), np.complex128),
     )
-    faults = [None] * (nw - 1)
+    faults = []
 
     def share(w):
         try:
             _tiles(cols, rows, pts, k, out, shares[w], *(b[w] for b in buffers))
-        except BaseException as exc:  # re-raised by the calling thread
-            faults[w] = exc
+        except BaseException as exc:  # raised once every share has ended
+            faults.append(exc)
 
     threads = [threading.Thread(target=share, args=(w,)) for w in range(nw - 1)]
     for t in threads:
         t.start()
-    # the calling thread runs the last share and joins the others, even when
-    # its own share raises
-    try:
-        _tiles(cols, rows, pts, k, out, shares[-1], *(b[-1] for b in buffers))
-    finally:
-        for t in threads:
-            t.join()
-    for exc in faults:
-        if exc is not None:
-            raise exc
+    # the calling thread runs the last share, then joins the others
+    share(nw - 1)
+    for t in threads:
+        t.join()
+    if faults:
+        raise faults[0]
     ex, ey, ez = out if cur.ndim == 2 else out[:, 0]
     return ex, ey, ez

@@ -57,8 +57,8 @@ class SolverConfig:
     oracle_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
-        if self.oracle_halfwidth is not None and self.oracle_halfwidth <= 0:
-            raise ValueError("oracle_halfwidth must be positive when given")
+        if self.oracle_halfwidth is not None and not 0.0 < self.oracle_halfwidth < math.inf:
+            raise ValueError("oracle_halfwidth must be positive and finite when given")
 
 
 def _golden_min(fun, lo: float, hi: float, iterations: int = 80) -> float:

@@ -1,12 +1,13 @@
 import cmath
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nfbeam import analysis, kernels
+from nfbeam import analysis, field, kernels
 from nfbeam.cli import SimulationConfig, analysis_radius, build_scenario
 from nfbeam.field import (
     ClearanceViolation,
@@ -289,11 +290,13 @@ class TestTotalField:
         assert np.array_equal(a.ez, b.ez)
 
     def test_mismatched_currents_rejected(self):
+        # the message names the currents' shape and the shape (M,) needed
         arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
-        exc = Excitation(currents=np.ones(3, dtype=complex))
         grid = ObservationGrid.from_points(np.array([[0.0, 0.1, 0.0]]))
-        with pytest.raises(ValueError):
-            total_field(arr, exc, grid)
+        for currents in (np.ones(3, complex), np.complex128(1.0), np.ones((2, 16)), np.ones(17)):
+            match = re.escape(f"shape {np.shape(currents)}; (16,) needed")
+            with pytest.raises(ValueError, match=match):
+                total_field(arr, Excitation(currents), grid)
 
 
 def random_currents(rng, arr):
@@ -330,6 +333,13 @@ def folding_sets(rng):
     }
 
 
+def z0_line():
+    """Points on z = 0, -0.0 too: an odd n_z puts a row of elements there."""
+    xs = np.linspace(-0.1, 0.1, 21)
+    on_plane = np.column_stack([np.r_[xs, xs], np.full(42, 0.12), np.repeat([0.0, -0.0], 21)])
+    return ObservationGrid.from_points(on_plane)
+
+
 class TestMirrorFolding:
     @pytest.mark.parametrize("n_x, n_z", [(6, 8), (7, 5), (5, 6), (9, 7)])
     def test_mirror_identities(self, rng, n_x, n_z):
@@ -355,10 +365,7 @@ class TestMirrorFolding:
         arr = ArrayGeometry.half_wave(n_x, n_z, WAVELENGTH)
         cur = random_currents(rng, arr)
         sets = folding_sets(rng)
-        # an odd n_z puts a row of elements on z = 0: points there, -0.0 too
-        xs = np.linspace(-0.1, 0.1, 21)
-        on_plane = np.column_stack([np.r_[xs, xs], np.full(42, 0.12), np.repeat([0.0, -0.0], 21)])
-        sets["z = 0 line"] = ObservationGrid.from_points(on_plane)
+        sets["z = 0 line"] = z0_line()
         for name, grid in sets.items():
             fg = total_field(arr, Excitation(cur), grid)
             ref = plain_field(arr, cur, grid.points)
@@ -437,6 +444,27 @@ class TestMirrorFolding:
         assert half[2].estimated_azimuth == full[2].estimated_azimuth
         assert half[2].estimated_elevation == full[2].estimated_elevation
         np.testing.assert_array_equal(half[2].peak_point, full[2].peak_point)
+
+    def test_block_size_changes_no_bit(self, monkeypatch, rng):
+        # each mirror family is cut into field_sum calls of at most
+        # field.BLOCK_PAIRS (current row, point) pairs: 37 gives a few
+        # representatives per call, 1,000 a few hundred, the default 8,192
+        # two calls for the xy grid; the cut changes no bit of a result
+        arr = ArrayGeometry.half_wave(7, 9, WAVELENGTH)
+        exc = Excitation(random_currents(rng, arr))
+        sets = folding_sets(rng)
+        sets["z = 0 line"] = z0_line()
+        want = {name: total_field(arr, exc, grid) for name, grid in sets.items()}
+        for pairs in (37, 1000):
+            monkeypatch.setattr(field, "BLOCK_PAIRS", pairs)
+            for name, grid in sets.items():
+                fg, ref = total_field(arr, exc, grid), want[name]
+                for got, expected in zip((fg.ex, fg.ey, fg.ez), (ref.ex, ref.ey, ref.ez)):
+                    np.testing.assert_array_equal(got, expected, err_msg=f"{pairs}: {name}")
+        # no points: three empty complex fields
+        empty = total_field(arr, exc, ObservationGrid.from_points(np.empty((0, 3))))
+        for e in (empty.ex, empty.ey, empty.ez):
+            assert e.shape == (0,) and e.dtype == np.complex128
 
 
 class TestMirrorPairSums:

@@ -333,5 +333,6 @@ class TestRotationIsometry:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(oracle_halfwidth=0.0)
+        for halfwidth in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(oracle_halfwidth=halfwidth)
