@@ -63,15 +63,21 @@ down a tile's points, so every current product runs numpy's vector loop
 over the tile's whole (point, column) plane, not over one row of columns; a
 multiply is elementwise, so the copy changes no bit.  The copy takes 16
 bytes per row and pair of a tile (512 KiB per row at 32,768 pairs, 2 MiB
-for 4 rows) and is read by every share.  Each share computes in place in
-its own buffers and writes only its own points, so results do not depend
-on the number of workers.  The buffers take 56 bytes per (point, element)
-pair of a tile (1.75 MiB at 32,768 pairs; 40 in transverse calls, which
-form no w dz), the current products reusing the buffers of spent
-temporaries; 8 bytes per dz, one per (z, point) on a shared-z lattice and
-one per pair otherwise; and 72 + 48 K bytes per (point, column) for K
-current rows.  Every share runs to its end; the first fault that any share
-records is then raised to the caller.
+for 4 rows; twice that with transverse rows) and is read by every share.
+Each share computes in place in its own buffers and writes only its own
+points, so results do not depend on the number of workers.  The buffers
+take 56 bytes per (point, element) pair of a tile (1.75 MiB at 32,768
+pairs; 40 in transverse calls, which form no w dz), the current products
+reusing the buffers of spent temporaries; 8 bytes per dz, one per (z,
+point) on a shared-z lattice and one per pair otherwise; and 72 + 48 K
+bytes per (point, column) for K current rows.  The copy and every share's
+buffers are views of the calling thread's :func:`scratch` buffer, which
+stays between calls at the size of the largest request that thread made:
+5.8 MiB at 32,768 pairs, four current rows and two workers on a 40 x 40
+lattice, 6.8 MiB with transverse rows.  So a repeated call of the same
+size allocates no work buffer; only the returned arrays are new.
+Every share runs to its end; the first fault that any share records is
+then raised to the caller.
 """
 
 from __future__ import annotations
@@ -93,6 +99,35 @@ TILE_PAIRS = 32768
 
 # Threads of the numpy kernel: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# Each thread's scratch buffer, see scratch(); its views start at multiples
+# of _ALIGN bytes
+_SCRATCH = threading.local()
+_ALIGN = 64
+
+
+def scratch(*specs):
+    """Views of the calling thread's scratch buffer, one per (shape, dtype).
+
+    The views are laid end to end, each at a 64-byte boundary, and hold
+    whatever the buffer last held, so the caller sets what it reads.  They
+    are valid until the thread's next request, which hands out the same
+    bytes again.  The buffer only grows, to the largest request the thread
+    has made, and stays between calls, so a repeated request allocates
+    nothing and touches no new page.
+    """
+    layout, size = [], 0
+    for shape, dtype in specs:
+        dtype = np.dtype(dtype)
+        start = -(-size // _ALIGN) * _ALIGN
+        size = start + int(np.prod(shape)) * dtype.itemsize
+        layout.append((start, size, shape, dtype))
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size + _ALIGN - 1:
+        buf = _SCRATCH.buf = np.empty(size + _ALIGN - 1, np.uint8)
+    base = -buf.ctypes.data % _ALIGN
+    return [buf[base + a : base + b].view(dtype).reshape(shape) for a, b, shape, dtype in layout]
 
 
 # Placeholders read by perfbench's provenance and warm-up until the benchmark
@@ -235,13 +270,18 @@ def _column_z(pos, nz):
     return np.ascontiguousarray((ze[:, :1] if shared else ze)[:, None, :])
 
 
-def _tile_rows(cur, step):
-    # (K, column, z) current rows as (K, z, point, column), repeated down
-    # the ``step`` points of a tile: each product's operands are contiguous
-    # over the tile's (point, column) plane
-    rows = np.empty((cur.shape[0], cur.shape[2], step, cur.shape[1]), np.complex128)
-    rows[...] = cur.transpose(0, 2, 1)[:, :, None, :]
-    return rows
+def _tile_rows(rows, cur, dz=None):
+    # (K, column, z) current rows into ``rows``, (K, z, point, column), times
+    # dz (column, z) when given, repeated down a tile's points: each
+    # product's operands are contiguous over the tile's (point, column) plane
+    first, cur = rows[:, :, 0], cur.transpose(0, 2, 1)
+    if dz is None:
+        np.copyto(first, cur)
+    else:
+        # B dz as two real products, like w dz
+        np.multiply(cur.real, dz.T, out=first.real)
+        np.multiply(cur.imag, dz.T, out=first.imag)
+    rows[:, :, 1:] = first[:, :, None]
 
 
 def _tiles(cols, rows, pts, k, out, starts, *buffers):
@@ -374,16 +414,11 @@ def field_sum(
     if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
         raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
     if transverse is not None:
-        tr = np.asarray(transverse, dtype=np.complex128)
-        if tr.shape != cur.shape:
+        transverse = np.asarray(transverse, dtype=np.complex128)
+        if transverse.shape != cur.shape:
             raise ValueError(f"transverse must have the shape of currents, {cur.shape}")
         if (pts[:, 2] != 0.0).any():
             raise ValueError("transverse currents need every point on z = 0")
-        # B dz with dz = 0.0 - z, as two real products, like w dz
-        dz = 0.0 - pos[:, 2]
-        transverse = np.empty(tr.shape, np.complex128)
-        np.multiply(tr.real, dz, out=transverse.real)
-        np.multiply(tr.imag, dz, out=transverse.imag)
     # Tiles of TILE_PAIRS // M points each take the whole element row, so no
     # point's sum is split and a point's value does not depend on which
     # points share its tile, nor on which worker runs it.  The current rows
@@ -397,25 +432,32 @@ def field_sum(
     ncol = nelem // nz
     step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
     out = np.empty((3, nk, npts), np.complex128)
-    rows = tuple(
-        None if c is None else _tile_rows(c.reshape(nk, ncol, nz), step)
-        for c in (cur, transverse)
-    )
     cols = (np.ascontiguousarray(pos[::nz, :2].T[:, None, :]), _column_z(pos, nz))
     starts = range(0, npts, step)
     nw = max(1, min(WORKERS, len(starts)))
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]
-    # the shares' buffers come from the calling thread: allocated in the
-    # workers, they land in per-thread malloc arenas that stay resident
+    # Every work buffer is a view of the calling thread's scratch buffer, the
+    # shares' buffers first, then the current rows.  The workers are new
+    # threads on every call, so buffers of their own would be new pages on
+    # every call.
     zcol = cols[1].shape[2]
-    buffers = (
-        np.empty((nw, 3, step * nelem)),
-        np.empty((nw, step * nz * zcol)),
-        np.empty((nw, 1 if transverse is not None else 2, step * nelem), np.complex128),
-        np.empty((nw, 3, step, ncol)),
-        np.zeros((nw, 3, step, ncol), np.complex128),
-        np.empty((nw, 3, nk, step, ncol), np.complex128),
+    row_shape = (nk, nz, step, ncol)
+    *buffers, axial, across = scratch(
+        ((nw, 3, step * nelem), np.float64),
+        ((nw, step * nz * zcol), np.float64),
+        ((nw, 1 if transverse is not None else 2, step * nelem), np.complex128),
+        ((nw, 3, step, ncol), np.float64),
+        ((nw, 3, step, ncol), np.complex128),
+        ((nw, 3, nk, step, ncol), np.complex128),
+        (row_shape, np.complex128),
+        (row_shape if transverse is not None else (0,), np.complex128),
     )
+    # the column weights are real: their imaginary parts start at 0
+    buffers[4].imag.fill(0.0)
+    _tile_rows(axial, cur.reshape(nk, ncol, nz))
+    if transverse is not None:
+        _tile_rows(across, transverse.reshape(nk, ncol, nz), 0.0 - pos[:, 2].reshape(ncol, nz))
+    rows = (axial, None if transverse is None else across)
     faults = []
 
     def share(w):

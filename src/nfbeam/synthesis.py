@@ -172,26 +172,36 @@ class _Formatter:
 
     The values go into :attr:`values`; :meth:`text` returns their text, each
     followed by ``seps[i]``, as a view of a buffer that the next call
-    overwrites.  Every buffer is allocated once, here, and reused by every
-    block with ``out=``, so blocks allocate no temporaries of their size.
+    overwrites.  Every buffer is a view of the calling thread's
+    :func:`kernels.scratch` buffer, taken here and reused by every block
+    with ``out=``, so blocks allocate no temporaries of their size.  The
+    views are valid until the thread's next scratch request.
     """
 
     def __init__(self, size: int, seps: np.ndarray) -> None:
-        self.values = np.empty(size)
         self.seps = seps
-        self.floats = np.empty((7, size))
-        self.flags = np.empty((4, size), bool)
-        self.ints = np.empty((6, size), np.intp)
         # D's digits go in words 1..5 of a row of seven: one, then four groups
-        # of four.  Words 0 and 6 stay "0000", and a spare row lets the
-        # layout below read two bytes past the last row.
-        self.groups = np.zeros((size, 7), np.int64)
-        self.digits = np.empty((size + 1, 7), np.uint32)
-        self.row = np.empty(size * _WIDTH, np.uint8)
-        # the integer-part mask, then the window of each text
-        self.mask = np.empty((size, _WIDTH), np.uint8)
-        self.out = np.empty(size * _WIDTH, np.uint8)
-        self.row_base = np.arange(size) * _WIDTH
+        # of four.  Word 0 is set to 0, "0000", here; word 6 only pads the row
+        # to _WIDTH bytes and no text reads it.  A spare row lets the layout
+        # below read two bytes past the last row.  mask holds the integer-part
+        # mask, then the window of each text.
+        (
+            self.values, self.floats, self.flags, self.ints, self.groups, self.digits,
+            self.row, self.mask, self.out, self.row_base,
+        ) = kernels.scratch(
+            ((size,), np.float64),
+            ((7, size), np.float64),
+            ((4, size), bool),
+            ((6, size), np.intp),
+            ((size, 7), np.int64),
+            ((size + 1, 7), np.uint32),
+            ((size * _WIDTH,), np.uint8),
+            ((size, _WIDTH), np.uint8),
+            ((size * _WIDTH,), np.uint8),
+            ((size,), np.intp),
+        )
+        self.groups[:, 0] = 0
+        np.multiply(np.arange(size), _WIDTH, out=self.row_base)
 
     def _scale(self, n: int) -> None:
         # hi + lo = a 10^p exactly (Dekker's product)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from nfbeam import kernels
 from nfbeam.field import frequency_to_wavelength
 from nfbeam.geometry import SteeringAngles, steering_rotation
 from nfbeam.solver import cone_distance_closed_form
-from nfbeam.synthesis import ArrayGeometry
+from nfbeam.synthesis import ArrayGeometry, write_csv
 from nfbeam.wavefront import Wavefront
 from test_field import element_field
 
@@ -559,3 +560,116 @@ class TestTransverseRows:
             kernels.field_sum(pos, axial, pts, k, transverse)
         with pytest.raises(ValueError, match="shape of currents"):
             kernels.field_sum(pos, axial, pts[:7], k, transverse[:1])
+
+
+def reuse_case(name):
+    """field_sum's arguments for case ``name``, the same in every interpreter."""
+    rng = np.random.default_rng(list(REUSE_CASES).index(name))
+    return REUSE_CASES[name](rng)
+
+
+def _one_row(args):
+    # (pos, cur, pts, k[, transverse]) with row 0 of each current array
+    pos, cur, pts, k, *tr = args
+    return (pos, cur[0], pts, k, *(t[0] for t in tr))
+
+
+def _z0_args(rng, nk):
+    pos, axial, transverse, pts, k = z0_case(rng, nk)
+    return pos, axial, pts, k, transverse
+
+
+REUSE_CASES = {
+    # more elements than TILE_PAIRS: a point per tile
+    "above_budget": lambda rng: field_sum_case(rng, kernels.TILE_PAIRS + 5, 7, 4),
+    # five tiles of a 16x16 lattice, split over the workers
+    "k4_lattice": lambda rng: (lattice(16, 16), *field_sum_case(rng, 256, 600, 4)[1:]),
+    "k1": lambda rng: _one_row(field_sum_case(rng, 40, STEP_40 + 100, 1)),
+    "k4_transverse": lambda rng: _z0_args(rng, 4),
+    "empty": lambda rng: (lattice(8, 8), *field_sum_case(rng, 64, 0, 4)[1:]),
+    "k1_transverse": lambda rng: _one_row(_z0_args(rng, 1)),
+}
+
+# a fresh interpreter, with the directory in argv[2] first on sys.path, makes
+# field_sum call argv[1] of REUSE_CASES as its first and prints the result
+REUSE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[2])
+import numpy as np
+from nfbeam import kernels
+from test_kernels import reuse_case
+print(np.stack(kernels.field_sum(*reuse_case(sys.argv[1]))).tobytes().hex())
+"""
+
+
+class TestScratch:
+    # field_sum and write_csv take their work buffers from one scratch
+    # buffer per thread, kept between calls
+    def fresh(self, name):
+        run = [sys.executable, "-c", REUSE_PROBE, name, str(Path(__file__).parent)]
+        text = subprocess.run(run, capture_output=True, text=True, check=True).stdout
+        return np.frombuffer(bytes.fromhex(text), np.complex128)
+
+    def test_reuse_leaks_no_state(self, tmp_path, rng, csv_oracle):
+        # every byte of the buffer starts as 0xff, NaN in float64; then each
+        # call finds what the one before it, of another shape, left behind
+        kernels.scratch(((1 << 23,), np.uint8))[0].fill(0xFF)
+        columns = tuple(rng.normal(size=(3, 2000)) * 10.0 ** rng.integers(-3, 9, (3, 2000)))
+        got = {}
+        for name in REUSE_CASES:
+            got[name] = np.stack(kernels.field_sum(*reuse_case(name)))
+            if name == "k4_lattice":
+                write_csv(tmp_path / "t.csv", "a,b,c", columns)
+        assert (tmp_path / "t.csv").read_text() == csv_oracle("a,b,c", columns)
+        for name, result in got.items():
+            np.testing.assert_array_equal(result.reshape(-1), self.fresh(name), err_msg=name)
+
+    def test_two_threads_at_once(self):
+        # two different calls in two threads, switched every microsecond:
+        # each thread has its own buffer
+        names = ("k4_lattice", "k4_transverse")
+        want = {name: np.stack(kernels.field_sum(*reuse_case(name))) for name in names}
+        got = {}
+        start = threading.Barrier(len(names))
+
+        def call(name):
+            args = reuse_case(name)
+            start.wait(timeout=60)
+            got[name] = np.stack(kernels.field_sum(*args))
+
+        threads = [threading.Thread(target=call, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name in names:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux's minor page faults")
+    def test_steady_state_faults_no_pages(self, tmp_path, rng):
+        resource = pytest.importorskip("resource")
+
+        def faults(call):
+            # minor faults of the third identical call
+            call()
+            call()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            call()
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        # a 40x40 lattice, four current rows and 900 points off z = 0
+        pos = lattice(40, 40)
+        _, cur, _, k = field_sum_case(rng, len(pos), 0, 4)
+        side = np.linspace(-0.05, 0.05, 30)
+        pts = np.stack(np.meshgrid(side, [0.1], side), -1).reshape(-1, 3)
+        field = faults(lambda: kernels.field_sum(pos, cur, pts, k))
+        # 6,561 rows of 9 values
+        columns = tuple(rng.normal(size=(9, 6561)) * 10.0 ** rng.integers(-3, 9, (9, 6561)))
+        csv = faults(lambda: write_csv(tmp_path / "t.csv", ",".join("abcdefghi"), columns))
+        assert field <= 64 and csv <= 64, (field, csv)
