@@ -137,7 +137,10 @@ def min_scan_radius(array: ArrayGeometry) -> float:
 
 
 def check_scan_radius(array: ArrayGeometry, radius: float) -> None:
-    """Raise :class:`RadiusOutOfRange` if ``radius`` is below :func:`min_scan_radius`."""
+    """Raise :class:`RadiusOutOfRange` unless ``radius`` is finite and at
+    least :func:`min_scan_radius`."""
+    if not math.isfinite(radius):
+        raise RadiusOutOfRange(f"scan radius {radius!r} m must be finite")
     min_radius = min_scan_radius(array)
     if radius < min_radius:
         raise RadiusOutOfRange(

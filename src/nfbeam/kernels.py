@@ -25,25 +25,30 @@ elements with equal x and y.  A lattice stored row-major with z fastest, as
 ``field.total_field`` passes it, has one column per lattice column; if the
 runs differ in length, or there is only one run, every element is its own
 column.  All elements of a column see a point at the same horizontal
-distance rho and azimuth phi, so with w = I exp(-jkr) / r^2 and dz the
-point's z minus the element's,
+distance rho and azimuth phi, so with w_j = exp(-jkr_j) / r_j^2, the
+point's z_p and the element's z_j,
 
-    Ex = sum_c cos(phi_c) S_c,  Ey = sum_c sin(phi_c) S_c,  S_c = sum_z w dz,
-    Ez = -sum_c rho_c sum_z w.
+    Ex = sum_c cos(phi_c) S_c,  Ey = sum_c sin(phi_c) S_c,  Ez = -sum_c rho_c P_c,
+    S_c = sum_z X_j (0 - z_j) w_j + z_p P_c,  P_c = sum_z I_j w_j,
 
-rho, cos and sin are computed once per (point, column); a point at rho = 0
-takes azimuth 0 for that column, so its u is (dz/r, 0, 0).  dz and dz^2 are
-computed once per (z, point) when every column has the first column's z
-values, as every ``ArrayGeometry`` lattice does, and once per pair
-otherwise.  Each column is summed over z in ascending element order, then
-the weighted column sums over the columns pairwise (``np.add.reduce`` along
-the row of columns).
+the column sum of I w (z_p - z_j) split in two, with X = I.  The rows
+X (0 - z_j) are formed once per call, so no pair forms w dz, and z_p P_c
+takes two real products and an add per (row, point, column).  The split
+rounds each part on its own scale: where z_p lies near an element row, or
+far from the array, both parts are much larger than S_c, and the tests hold
+Ex and Ey within (n_z + 3) eps sum_j |I_j| (|z_p| + |z_j|) / r_j^2 of the
+per-pair sum.  rho, cos and sin are computed once per (point, column); a
+point at rho = 0 takes azimuth 0 for that column, so its u is (dz/r, 0, 0).
+dz^2 is computed once per (z, point) when every column has the first
+column's z values, as every ``ArrayGeometry`` lattice does, and once per
+pair otherwise.  Each column is summed over z in ascending element order,
+then the weighted column sums over the columns pairwise (``np.add.reduce``
+along the row of columns).
 
-On z = 0, dz = 0.0 - z_j depends on the element alone.  A call whose points
-all lie there may pass transverse rows B for Ex and Ey beside the rows A
-that then drive Ez alone: the kernel multiplies B by dz once per call and
-sums S_c = sum_z (B dz) w, so it never forms w dz.  It raises if a point is
-off z = 0, and never decides this from the call's other points.
+A call whose points all lie on z = 0 may pass transverse rows B for Ex and
+Ey beside the rows A that then drive Ez alone: X = B, and the call skips
+z_p P_c, which is 0 for each of its points.  It raises if a point is off
+z = 0, and never decides this from the call's other points.
 
 The kernel works in tiles of at most :data:`TILE_PAIRS` (point, element)
 pairs, which share each phasor and azimuth across the K current rows.  A
@@ -57,25 +62,23 @@ on the tile's points times its columns: at 32,768 pairs, 8 x 64 = 512
 elements on a 64 x 64 lattice, above that threshold, and 20 x 40 = 800 on
 a 40 x 40 one.  Larger tiles also make fewer calls per pair, and each
 share builds its buffers' views once, so a tile's Python work is its numpy
-calls, about 41 of them at K = 4.
+calls, about 42 of them at K = 4.
 Each call copies its current rows once, (row, z, point, column), repeated
 down a tile's points, so every current product runs numpy's vector loop
 over the tile's whole (point, column) plane, not over one row of columns; a
-multiply is elementwise, so the copy changes no bit.  The copy takes 16
-bytes per row and pair of a tile (512 KiB per row at 32,768 pairs, 2 MiB
-for 4 rows; twice that with transverse rows) and is read by every share.
-Each share computes in place in its own buffers and writes only its own
-points, so results do not depend on the number of workers.  The buffers
-take 56 bytes per (point, element) pair of a tile (1.75 MiB at 32,768
-pairs; 40 in transverse calls, which form no w dz), the current products
-reusing the buffers of spent temporaries; 8 bytes per dz, one per (z,
-point) on a shared-z lattice and one per pair otherwise; and 72 + 48 K
-bytes per (point, column) for K current rows.  The copy and every share's
-buffers are views of the calling thread's :func:`scratch` buffer, which
-stays between calls at the size of the largest request that thread made:
-5.8 MiB at 32,768 pairs, four current rows and two workers on a 40 x 40
-lattice, 6.8 MiB with transverse rows.  So a repeated call of the same
-size allocates no work buffer; only the returned arrays are new.
+multiply is elementwise, so the copy changes no bit.  The copies of I and
+of X (0 - z_j) take 32 bytes per row and pair of a tile (1 MiB per row at
+32,768 pairs, 4 MiB for 4 rows) and are read by every share.  Each share
+computes in place in its own buffers and writes only its own points, so
+results do not depend on the number of workers.  The buffers take 40 bytes
+per (point, element) pair of a tile (1.25 MiB at 32,768 pairs), dz^2 and
+the current products reusing the buffers of spent temporaries, and
+72 + 48 K bytes per (point, column) for K current rows.  The copies and
+every share's buffers are views of the calling thread's :func:`scratch`
+buffer, which stays between calls at the size of the largest request that
+thread made: 6.75 MiB at 32,768 pairs, four current rows and two workers
+on a 40 x 40 lattice, with transverse rows or without.  So a repeated call
+of the same size allocates no work buffer; only the returned arrays are new.
 Every share runs to its end; the first fault that any share records is
 then raised to the caller.
 """
@@ -278,7 +281,7 @@ def _tile_rows(rows, cur, dz=None):
     if dz is None:
         np.copyto(first, cur)
     else:
-        # B dz as two real products, like w dz
+        # X dz as two real products
         np.multiply(cur.real, dz.T, out=first.real)
         np.multiply(cur.imag, dz.T, out=first.imag)
     rows[:, :, 1:] = first[:, :, None]
@@ -294,11 +297,12 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
     # after the other, with numpy's vector loop over the (point, column)
     # plane.  Two columns or more keep that plane from collapsing into the
     # reduced axis, where numpy would sum pairwise instead.  ze is (z, 1, 1)
-    # when the columns share their z values, so dz and dz^2 are (z, point,
-    # 1), else (z, 1, column).
+    # when the columns share their z values, so dz^2 is (z, point, 1), else
+    # (z, 1, column).  lift is the points' z as (point, 1), or None in
+    # transverse calls, whose points are all on z = 0.
     xy, ze = cols
-    axial, transverse = rows
-    floats, dz_buf, cplx, col_floats, col_weights, col_cplx = buffers
+    axial, across, lift = rows
+    floats, cplx, col_floats, col_weights, col_cplx = buffers
     nz, ncol, zcol = ze.shape[0], xy.shape[2], ze.shape[2]
     npts = pts.shape[0]
     step = col_floats.shape[1]
@@ -310,34 +314,31 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         # Per (point, column): rho^2 and the weights (cos, sin, -rho) of the
         # column sums, complex with imaginary parts 0, so that one complex
         # product weights the three sums with the roundings of real ones;
-        # per current row and (point, column): the sums of I wz (twice) and
-        # of I w.  Per pair: dz^2 is held in s2's buffer until s2 is
-        # computed, and the current products in t's and s2's, side by side,
-        # once w is.  cplx holds w and wz, or w alone in transverse calls:
-        # their rows carry dz already, so they take w.
+        # per current row and (point, column): the sums of X (0 - z_j) w
+        # (twice) and of I w.  Per pair: dz^2 is held in s2's buffer until
+        # s2 is computed, and the current products in t's and s2's, side by
+        # side, once w is.
         weights = col_weights[:, :n]
         sums = col_cplx[:, :, :n]
         size = nz * n * ncol
         r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats)
         prod = floats[1:].reshape(-1).view(np.complex128)[:size].reshape(nz, n, ncol)
-        w, wz = (c[:size].reshape(nz, n, ncol) for c in (cplx[0], cplx[-1]))
-        across = axial if transverse is None else transverse
+        w = cplx[:size].reshape(nz, n, ncol)
         products = [
             (across[q, :, :n], axial[q, :, :n], sums[0, q], sums[2, q])
             for q in range(axial.shape[0])
         ]
-        dz, dz2 = (f[: nz * n * zcol].reshape(nz, n, zcol) for f in (dz_buf, floats[2]))
+        dz2 = floats[2, : nz * n * zcol].reshape(nz, n, zcol)
         return (
             weights.real[:2], weights.real[2], col_floats[:2, :n], col_floats[2, :n],
-            weights[:, None], sums, dz, dz2, r2, t, s2, w, w.real, w.imag, wz,
-            wz.real, wz.imag, prod, products,
+            weights[:, None], sums, dz2, r2, t, s2, w, w.real, w.imag, prod, products,
         )
 
     full = views(step)
     for s in starts:
         e = min(s + step, npts)
-        (cs, rho, sq, rho2, weights, sums, dz, dz2, r2, t, s2, w, wr, wi, wz,
-         wzr, wzi, prod, products) = full if e - s == step else views(e - s)
+        (cs, rho, sq, rho2, weights, sums, dz2, r2, t, s2, w, wr, wi, prod,
+         products) = full if e - s == step else views(e - s)
         np.subtract(pts_xy[:, s:e], xy, out=cs)
         np.multiply(cs, cs, out=sq)
         np.add(sq[0], sq[1], out=rho2)
@@ -349,11 +350,11 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
             cs[0][on_axis] = 1.0
             cs[1][on_axis] = 0.0
         np.negative(rho, out=rho)
-        # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2), and wz = w dz;
+        # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2);
         # exp(-jkr) = (1 - js)^2 / (1 + s^2), so w.real = (1 - s^2) / d and
         # w.imag = -2s / d with d = (1 + s^2) r^2
-        np.subtract(pts_z[s:e], ze, out=dz)
-        np.multiply(dz, dz, out=dz2)
+        np.subtract(pts_z[s:e], ze, out=dz2)
+        np.multiply(dz2, dz2, out=dz2)
         np.add(rho2, dz2, out=r2)
         np.sqrt(r2, out=t)
         np.multiply(t, 0.5 * k, out=t)
@@ -365,17 +366,20 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         np.divide(s2, r2, out=wr)
         np.multiply(t, -2.0, out=t)
         np.divide(t, r2, out=wi)
-        if transverse is None:
-            np.multiply(wr, dz, out=wzr)
-            np.multiply(wi, dz, out=wzi)
-        # Ex and Ey are the column sums of I wz weighted by cos and sin, Ez
-        # the column sums of I w weighted by -rho, each then summed over the
-        # columns, for all current rows at once
-        for across, along, sum_xy, sum_z in products:
-            np.multiply(across, wz, out=prod)
+        # the column sums of X (0 - z_j) w and of I w, for all current rows
+        # at once; S_c = sum_z X (0 - z_j) w + z_p sum_z I w, whose second
+        # term is 0 in transverse calls
+        for cross, along, sum_xy, sum_z in products:
+            np.multiply(cross, w, out=prod)
             np.add.reduce(prod, axis=0, out=sum_xy)
             np.multiply(along, w, out=prod)
             np.add.reduce(prod, axis=0, out=sum_z)
+        if lift is not None:
+            np.multiply(sums[2].real, lift[s:e], out=sums[1].real)
+            np.multiply(sums[2].imag, lift[s:e], out=sums[1].imag)
+            np.add(sums[0], sums[1], out=sums[0])
+        # Ex and Ey weight S_c by cos and sin, Ez the sums of I w by -rho,
+        # each then summed over the columns
         np.copyto(sums[1], sums[0])
         np.multiply(sums, weights, out=sums)
         np.add.reduce(sums, axis=3, out=out[:, :, s:e])
@@ -399,9 +403,8 @@ def field_sum(
 
     ``transverse``, of the same shape as ``currents``, gives Ex and Ey their
     own currents, and ``currents`` then drives Ez alone.  It is for points
-    on z = 0, where each pair's dz = 0.0 - z of the element depends on the
-    element only: the kernel folds dz into the transverse currents once per
-    call, instead of forming w dz per pair.  A point off z = 0 raises
+    on z = 0, where the z_p sum of I w that Ex and Ey take is 0 (see the
+    module docstring), so the call skips it.  A point off z = 0 raises
     ``ValueError``.
     """
     pos = np.ascontiguousarray(positions, dtype=np.float64)
@@ -413,9 +416,12 @@ def field_sum(
         raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
     if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
         raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
+    # Ex and Ey sum X (0 - z_j) w, X the transverse rows or the currents,
+    # and add z_p sum I w, except in transverse calls: there every z_p is 0
+    across_cur, lift = cur, pts[:, 2, None]
     if transverse is not None:
-        transverse = np.asarray(transverse, dtype=np.complex128)
-        if transverse.shape != cur.shape:
+        across_cur, lift = np.asarray(transverse, dtype=np.complex128), None
+        if across_cur.shape != cur.shape:
             raise ValueError(f"transverse must have the shape of currents, {cur.shape}")
         if (pts[:, 2] != 0.0).any():
             raise ValueError("transverse currents need every point on z = 0")
@@ -440,24 +446,21 @@ def field_sum(
     # shares' buffers first, then the current rows.  The workers are new
     # threads on every call, so buffers of their own would be new pages on
     # every call.
-    zcol = cols[1].shape[2]
     row_shape = (nk, nz, step, ncol)
     *buffers, axial, across = scratch(
         ((nw, 3, step * nelem), np.float64),
-        ((nw, step * nz * zcol), np.float64),
-        ((nw, 1 if transverse is not None else 2, step * nelem), np.complex128),
+        ((nw, step * nelem), np.complex128),
         ((nw, 3, step, ncol), np.float64),
         ((nw, 3, step, ncol), np.complex128),
         ((nw, 3, nk, step, ncol), np.complex128),
         (row_shape, np.complex128),
-        (row_shape if transverse is not None else (0,), np.complex128),
+        (row_shape, np.complex128),
     )
     # the column weights are real: their imaginary parts start at 0
-    buffers[4].imag.fill(0.0)
+    buffers[3].imag.fill(0.0)
     _tile_rows(axial, cur.reshape(nk, ncol, nz))
-    if transverse is not None:
-        _tile_rows(across, transverse.reshape(nk, ncol, nz), 0.0 - pos[:, 2].reshape(ncol, nz))
-    rows = (axial, None if transverse is None else across)
+    _tile_rows(across, across_cur.reshape(nk, ncol, nz), 0.0 - pos[:, 2].reshape(ncol, nz))
+    rows = (axial, across, lift)
     faults = []
 
     def share(w):

@@ -40,8 +40,9 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError("element counts must be positive")
-        if self.spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("spacing and wavelength must be positive")
+        for name, value in (("spacing", self.spacing), ("wavelength", self.wavelength)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         xs = (np.arange(self.n_x) - (self.n_x - 1) / 2.0) * self.spacing
         zs = (np.arange(self.n_z) - (self.n_z - 1) / 2.0) * self.spacing
         pos = np.zeros((self.n_x * self.n_z, 3))

@@ -48,8 +48,8 @@ class Wavefront:
     @classmethod
     def cone(cls, h_over_r: float = 0.2) -> "Wavefront":
         """Cone y' = (h/r) * sqrt(x'^2 + z'^2) opening along +y' (Bessel beam)."""
-        if not h_over_r > 0:
-            raise ValueError(f"h_over_r must be positive, got {h_over_r!r}")
+        if not 0.0 < h_over_r < np.inf:
+            raise ValueError(f"h_over_r must be positive and finite, got {h_over_r!r}")
         return cls(kind=CONE, h_over_r=float(h_over_r))
 
     @classmethod

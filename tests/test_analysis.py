@@ -144,9 +144,15 @@ class TestDirections:
         assert a.estimated_elevation == b.estimated_elevation
 
     def test_nan_radius_rejected(self):
+        # named before any scan point is built
         arr, exc = cone_beam(8)
-        with pytest.raises(ClearanceViolation, match="grid point 0 at .* is not finite"):
+        with pytest.raises(RadiusOutOfRange, match="^scan radius nan m must be finite$"):
             estimate_direction(arr, exc, math.nan)
+
+    def test_infinite_radius_rejected(self):
+        arr, exc = cone_beam(8)
+        with pytest.raises(RadiusOutOfRange, match="^scan radius inf m must be finite$"):
+            estimate_direction(arr, exc, math.inf)
 
     def test_radius_out_of_range(self):
         arr, exc = cone_beam(8)

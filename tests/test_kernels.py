@@ -524,10 +524,10 @@ class TestTransverseRows:
         ex, ey, ez = kernels.field_sum(pos, axial, pts, k, transverse)
         tx, ty, _ = kernels.field_sum(pos, transverse, pts, k)
         _, _, az = kernels.field_sum(pos, axial, pts, k)
-        # Ez takes the products of a plain call; Ex and Ey round I dz, not w dz
-        np.testing.assert_array_equal(ez, az)
-        for got, want in ((ex, tx), (ey, ty)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+        # every call sums Ex and Ey over X (0 - z_j) w; a plain call adds
+        # z_p sum I w, which is a zero here
+        for got, want in ((ex, tx), (ey, ty), (ez, az)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_and_points_alone(self, rng, monkeypatch):
         pos, axial, transverse, pts, k = z0_case(rng, 3)
@@ -560,6 +560,77 @@ class TestTransverseRows:
             kernels.field_sum(pos, axial, pts, k, transverse)
         with pytest.raises(ValueError, match="shape of currents"):
             kernels.field_sum(pos, axial, pts[:7], k, transverse[:1])
+
+
+def per_pair_sum(pos, cur, pts, k):
+    """Ex and Ey of (K, M) currents at P points as exact sums over the
+    (point, element) pairs of cos I (w dz) and sin I (w dz), dz = z_p - z_j,
+    and each point's bound B = sum_j |I_j| (|z_p| + |z_j|) / r_j^2.
+
+    Each pair's w = exp(-jkr) / r^2, cos and sin take the kernel's
+    operations, so both share their bits, and math.fsum adds the terms of
+    each point without rounding.  Each term rounds at most 7 u: dz, w dz,
+    the complex product with I (3 u with its operands' errors), the weight,
+    and up to 2 u for a tan that rounds otherwise; the sum rounds u once.
+    """
+    d = pts[:, None, :] - pos[None, :, :]
+    rho2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    rho = np.sqrt(rho2)
+    cos, sin, dz = d[..., 0] / rho, d[..., 1] / rho, d[..., 2]
+    r2 = rho2 + dz * dz
+    t = np.tan(np.sqrt(r2) * (0.5 * k))
+    s2 = t * t
+    den = (s2 + 1.0) * r2
+    wdz = np.empty(dz.shape, np.complex128)
+    wdz.real = (1.0 - s2) / den * dz
+    wdz.imag = (t * -2.0) / den * dz
+    terms = cur[:, None, :] * wdz
+    fields = []
+    for weight in (cos, sin):
+        e = terms * weight
+        fields.append(
+            np.array([[complex(math.fsum(v.real), math.fsum(v.imag)) for v in row] for row in e])
+        )
+    bound = np.abs(cur) @ ((np.abs(pts[:, 2, None]) + np.abs(pos[:, 2])) / r2).T
+    return fields, bound
+
+
+class TestSingleFormulation:
+    # every call sums Ex and Ey as S_c = sum_z X (0 - z_j) w + z_p sum_z I w,
+    # the per-pair sum of I w dz split in two; where z_p is near an element
+    # row, or far from the array, the two parts are much larger than S_c
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_split_within_cancellation_bound(self, rng, n):
+        pos = lattice(n, n)
+        d = pos[1, 2] - pos[0, 2]
+        top = pos[:, 2].max()
+        near = np.column_stack(
+            [
+                rng.uniform(-n * d / 2, n * d / 2, 12),
+                rng.uniform(0.02, 0.2, 12),
+                top + d * np.array([0.0, 0.0, 0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.01, -0.01, 0.25,
+                                    -0.25, -0.5]),
+            ]
+        )
+        # far scan points: R = 5 m at elevations of +-35 degrees
+        az, el = np.radians(np.meshgrid([-30.0, 0.0, 20.0], [-35.0, 35.0])).reshape(2, -1)
+        far = 5.0 * np.column_stack([-np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), -np.sin(el)])
+        pts = np.concatenate([near, far])
+        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (2, len(pos))))
+        k = 2 * math.pi / 0.003
+        ex, ey, _ = kernels.field_sum(pos, cur, pts, k)
+        (rx, ry), bound = per_pair_sum(pos, cur, pts, k)
+        # fixed from the first-order bound in u = eps / 2 before the test
+        # ran: the kernel rounds S_c within (n_z + 3) u B (X (0 - z_j) and
+        # the product with w 3 u, n_z - 1 additions, z_p times the Ez sum
+        # and the add), the weight u and the column sum (n_col - 1) u, in
+        # all (n_z + n_col + 3) u <= (n_z + 3) eps on a square lattice; the
+        # reference adds 8 u = 4 eps
+        tol = (n + 3 + 4) * np.finfo(float).eps * bound
+        for got, want in ((ex, rx), (ey, ry)):
+            for part in (np.real, np.imag):
+                err = np.abs(part(got) - part(want))
+                assert (err <= tol).all(), (err / tol).max()
 
 
 def reuse_case(name):

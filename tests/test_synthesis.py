@@ -52,6 +52,13 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(n_x=4, n_z=4, spacing=-0.1, wavelength=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["spacing", "wavelength"])
+    def test_rejects_non_finite_lengths(self, name, value):
+        lengths = {"spacing": 0.0015, "wavelength": 0.003, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            ArrayGeometry(n_x=4, n_z=4, **lengths)
+
     def test_aperture_radius(self):
         arr = ArrayGeometry.half_wave(100, 100, WAVELENGTH)
         side = 100 * WAVELENGTH / 2

@@ -33,6 +33,13 @@ def test_cone_requires_positive_slope():
         Wavefront.cone(0.0)
 
 
+@pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
+def test_cone_rejects_non_finite_slope(slope):
+    # an infinite slope would reach synthesis as a solver failure
+    with pytest.raises(ValueError, match=f"h_over_r must be positive and finite, got {slope}"):
+        Wavefront.cone(slope)
+
+
 def test_gradient_property_randomized(rng):
     # an analytic custom gradient against central differences of the surface
     w = Wavefront.custom(
