@@ -131,6 +131,19 @@ def _tensor(az_deg: np.ndarray, el_deg: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(az_deg, len(el_deg)), np.tile(el_deg, len(az_deg))
 
 
+def _neighbourhood(marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice indices (i, j) within one stride of a marked coarse direction
+    on both axes, row-major: the marked cells, placed on the lattice and
+    grown one step at a time along each axis."""
+    near = np.zeros((len(SCAN_LATTICE_DEG),) * 2, bool)
+    near[::COARSE_STRIDE, ::COARSE_STRIDE] = marked
+    for grid in (near, near.T):
+        for _ in range(COARSE_STRIDE):
+            grid[1:] |= grid[:-1]
+            grid[:-1] |= grid[1:]
+    return np.nonzero(near)
+
+
 def min_scan_radius(array: ArrayGeometry) -> float:
     """Smallest scan radius: the aperture radius plus the element clearance."""
     return array.aperture_radius + FAR_FIELD_CLEARANCE_WAVELENGTHS * array.wavelength
@@ -165,12 +178,8 @@ def estimate_direction(array: ArrayGeometry, exc: Excitation, radius: float) -> 
     coarse = lattice[::COARSE_STRIDE]
     mag = _scan_magnitude(array, exc, radius, *_tensor(coarse, coarse))
     marked = (mag >= MARK_FRACTION * np.max(mag)).reshape(len(coarse), len(coarse))
-    # near[i, c]: lattice index i lies within one stride of coarse direction c
-    offsets = np.arange(len(lattice))[:, None] - COARSE_STRIDE * np.arange(len(coarse))
-    near = (np.abs(offsets) <= COARSE_STRIDE).astype(np.int64)
-    # np.nonzero lists the marked directions row-major, so argmax keeps the
-    # first maximum in (azimuth, elevation) order
-    ii, jj = np.nonzero(near @ marked.astype(np.int64) @ near.T)
+    # row-major, so argmax keeps the first maximum in (azimuth, elevation) order
+    ii, jj = _neighbourhood(marked)
     mag = _scan_magnitude(array, exc, radius, lattice[ii], lattice[jj])
     best = int(np.argmax(mag))
     steps = np.arange(-10, 11) * 0.1

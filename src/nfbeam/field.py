@@ -246,7 +246,6 @@ def total_field(
     order, flip, starts, reps = _fold(grid.points)
     cur = exc.currents.reshape(array.n_x, array.n_z)
     half = (array.n_z + 1) // 2
-    positions = array.element_positions.reshape(array.n_x, array.n_z, 3)
     on_plane = int(np.searchsorted(reps[:, 2], 0.0, side="right"))
     for paired, lo, hi in ((True, 0, on_plane), (False, on_plane, len(reps))):
         if lo == hi:
@@ -258,17 +257,17 @@ def total_field(
         if paired:
             # the z mirror of rows I and I∘Mx is their z-reversed slice; the
             # middle row of an odd n_z has no mirror
-            elems = positions[:, :half].reshape(-1, 3)
+            axes = array.column_x, array.row_z[:half]
             own, has_mirror = rows[:, :, :half], np.arange(half) < array.n_z // 2
             mirror = np.where(has_mirror, rows[:, :, ::-1][:, :, :half], 0)
             currents, transverse = (c.reshape(len(c), -1) for c in (own + mirror, own - mirror))
         else:
-            elems = positions.reshape(-1, 3)
+            axes = array.column_x, array.row_z
             currents, transverse = rows.reshape(len(rows), -1), None
         block = max(1, BLOCK_PAIRS // (len(codes) * (2 if paired else 1)))
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
-            fx, fy, fz = kernels.field_sum(elems, currents, reps[b0:b1], k, transverse)
+            fx, fy, fz = kernels.field_sum(*axes, currents, reps[b0:b1], k, transverse)
             s0, s1 = starts[b0], starts[b1]
             point = np.repeat(np.arange(b1 - b0), np.diff(starts[b0 : b1 + 1]))
             f = flip[s0:s1]

@@ -20,13 +20,11 @@
 Each point and each current row is summed on its own, so results are
 deterministic and rerun-identical, and a point's value in a row of a
 K-current call equals the one-current, one-point call bit for bit.  The
-kernel factors the sum over element columns: maximal runs of consecutive
-elements with equal x and y.  A lattice stored row-major with z fastest, as
-``field.total_field`` passes it, has one column per lattice column; if the
-runs differ in length, or there is only one run, every element is its own
-column.  All elements of a column see a point at the same horizontal
-distance rho and azimuth phi, so with w_j = exp(-jkr_j) / r_j^2, the
-point's z_p and the element's z_j,
+elements are the lattice of n_x columns and n_z rows that
+:func:`field_sum` takes as its two axes, and the kernel factors the sum
+over its columns.  All elements of a column see a point at the same
+horizontal distance rho and azimuth phi, so with w_j = exp(-jkr_j) / r_j^2,
+the point's z_p and the element's z_j,
 
     Ex = sum_c cos(phi_c) S_c,  Ey = sum_c sin(phi_c) S_c,  Ez = -sum_c rho_c P_c,
     S_c = sum_z X_j (0 - z_j) w_j + z_p P_c,  P_c = sum_z I_j w_j,
@@ -39,11 +37,13 @@ far from the array, both parts are much larger than S_c, and the tests hold
 Ex and Ey within (n_z + 3) eps sum_j |I_j| (|z_p| + |z_j|) / r_j^2 of the
 per-pair sum.  rho, cos and sin are computed once per (point, column); a
 point at rho = 0 takes azimuth 0 for that column, so its u is (dz/r, 0, 0).
-dz^2 is computed once per (z, point) when every column has the first
-column's z values, as every ``ArrayGeometry`` lattice does, and once per
-pair otherwise.  Each column is summed over z in ascending element order,
-then the weighted column sums over the columns pairwise (``np.add.reduce``
-along the row of columns).
+dz^2 is computed once per (z, point).  Each column is summed over z in
+ascending element order by numpy's vector loop over the tile's
+(point, column) plane, then the weighted column sums over the columns
+pairwise (``np.add.reduce`` along the row of columns).  numpy would sum a
+plane of one entry along z pairwise, so on one column (n_x = 1) a tile of
+one point is evaluated as two copies of it: a point alone equals itself in
+a tile.
 
 A call whose points all lie on z = 0 may pass transverse rows B for Ex and
 Ey beside the rows A that then drive Ez alone: X = B, and the call skips
@@ -253,59 +253,36 @@ def nearest_feet(elem_primed: np.ndarray, wavefront: Wavefront) -> FootBatch:
     return _newton(wavefront, pe[:, 0], pe[:, 1], pe[:, 2])
 
 
-def _column_length(pos):
-    # elements per column: the common length of the maximal runs of
-    # consecutive elements with equal x and y when there are two runs or
-    # more, else 1
-    nelem = pos.shape[0]
-    first = np.ones(nelem, bool)
-    first[1:] = (pos[1:, :2] != pos[:-1, :2]).any(axis=1)
-    runs = np.diff(np.append(np.flatnonzero(first), nelem))
-    return int(runs[0]) if runs.size > 1 and (runs == runs[0]).all() else 1
-
-
-def _column_z(pos, nz):
-    # the elements' z as (z, 1, column) for columns of nz elements, or as
-    # (z, 1, 1) when every column has the first column's z values to the
-    # bit (-0.0 and 0.0 would give dz different signs of zero)
-    ze = pos[:, 2].reshape(-1, nz).T
-    shared = (ze.view(np.int64) == ze[:, :1].view(np.int64)).all()
-    return np.ascontiguousarray((ze[:, :1] if shared else ze)[:, None, :])
-
-
 def _tile_rows(rows, cur, dz=None):
     # (K, column, z) current rows into ``rows``, (K, z, point, column), times
-    # dz (column, z) when given, repeated down a tile's points: each
-    # product's operands are contiguous over the tile's (point, column) plane
+    # dz (z, 1) when given, repeated down a tile's points: each product's
+    # operands are contiguous over the tile's (point, column) plane
     first, cur = rows[:, :, 0], cur.transpose(0, 2, 1)
     if dz is None:
         np.copyto(first, cur)
     else:
         # X dz as two real products
-        np.multiply(cur.real, dz.T, out=first.real)
-        np.multiply(cur.imag, dz.T, out=first.imag)
+        np.multiply(cur.real, dz, out=first.real)
+        np.multiply(cur.imag, dz, out=first.imag)
     rows[:, :, 1:] = first[:, :, None]
 
 
 def _tiles(cols, rows, pts, k, out, starts, *buffers):
-    # One worker's share: the tiles that begin at ``starts``, computed in
-    # place in its own buffers.  Every operation sees the operand layout of
-    # the fresh temporary it replaces (np.tan runs on the contiguous t; only
-    # exactly rounded arithmetic writes into the strided halves of the
-    # complex w), so the buffers change no rounding.  Pair arrays are
-    # (z, point, column): the column sums reduce the leading axis, one z
-    # after the other, with numpy's vector loop over the (point, column)
-    # plane.  Two columns or more keep that plane from collapsing into the
-    # reduced axis, where numpy would sum pairwise instead.  ze is (z, 1, 1)
-    # when the columns share their z values, so dz^2 is (z, point, 1), else
-    # (z, 1, column).  lift is the points' z as (point, 1), or None in
-    # transverse calls, whose points are all on z = 0.
+    # One worker's share: the tiles that begin at ``starts``, a range whose
+    # step is the tile's point count, computed in place in its own buffers.
+    # Every operation sees the operand layout of the fresh temporary it
+    # replaces (np.tan runs on the contiguous t; only exactly rounded
+    # arithmetic writes into the strided halves of the complex w), so the
+    # buffers change no rounding.  Pair arrays are (z, point, column), the
+    # column sums reducing the leading axis, and dz^2 is (z, point, 1).  A
+    # tile of one point on one column is evaluated as two copies of the
+    # point (see the module docstring).  lift is the points' z as
+    # (point, 1), or None in transverse calls, whose points are all on z = 0.
     xy, ze = cols
     axial, across, lift = rows
     floats, cplx, col_floats, col_weights, col_cplx = buffers
-    nz, ncol, zcol = ze.shape[0], xy.shape[2], ze.shape[2]
-    npts = pts.shape[0]
-    step = col_floats.shape[1]
+    nz, ncol = ze.shape[0], xy.shape[2]
+    npts, step, width = pts.shape[0], starts.step, col_floats.shape[1]
     pts_xy, pts_z = pts[:, :2].T[:, :, None], pts[:, 2, None]
 
     def views(n):
@@ -328,18 +305,19 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
             (across[q, :, :n], axial[q, :, :n], sums[0, q], sums[2, q])
             for q in range(axial.shape[0])
         ]
-        dz2 = floats[2, : nz * n * zcol].reshape(nz, n, zcol)
+        dz2 = floats[2, : nz * n].reshape(nz, n, 1)
         return (
             weights.real[:2], weights.real[2], col_floats[:2, :n], col_floats[2, :n],
             weights[:, None], sums, dz2, r2, t, s2, w, w.real, w.imag, prod, products,
         )
 
-    full = views(step)
+    full = views(width)
     for s in starts:
         e = min(s + step, npts)
+        at, n = (slice(s, e), e - s) if ncol > 1 or e - s > 1 else ([s, s], 2)
         (cs, rho, sq, rho2, weights, sums, dz2, r2, t, s2, w, wr, wi, prod,
-         products) = full if e - s == step else views(e - s)
-        np.subtract(pts_xy[:, s:e], xy, out=cs)
+         products) = full if n == width else views(n)
+        np.subtract(pts_xy[:, at], xy, out=cs)
         np.multiply(cs, cs, out=sq)
         np.add(sq[0], sq[1], out=rho2)
         np.sqrt(rho2, out=rho)
@@ -353,7 +331,7 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         # per pair: w = exp(-jkr) / r^2 from s = tan(kr/2);
         # exp(-jkr) = (1 - js)^2 / (1 + s^2), so w.real = (1 - s^2) / d and
         # w.imag = -2s / d with d = (1 + s^2) r^2
-        np.subtract(pts_z[s:e], ze, out=dz2)
+        np.subtract(pts_z[at], ze, out=dz2)
         np.multiply(dz2, dz2, out=dz2)
         np.add(rho2, dz2, out=r2)
         np.sqrt(r2, out=t)
@@ -375,18 +353,19 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
             np.multiply(along, w, out=prod)
             np.add.reduce(prod, axis=0, out=sum_z)
         if lift is not None:
-            np.multiply(sums[2].real, lift[s:e], out=sums[1].real)
-            np.multiply(sums[2].imag, lift[s:e], out=sums[1].imag)
+            np.multiply(sums[2].real, lift[at], out=sums[1].real)
+            np.multiply(sums[2].imag, lift[at], out=sums[1].imag)
             np.add(sums[0], sums[1], out=sums[0])
         # Ex and Ey weight S_c by cos and sin, Ez the sums of I w by -rho,
         # each then summed over the columns
         np.copyto(sums[1], sums[0])
         np.multiply(sums, weights, out=sums)
-        np.add.reduce(sums, axis=3, out=out[:, :, s:e])
+        np.add.reduce(sums[:, :, : e - s], axis=3, out=out[:, :, s:e])
 
 
 def field_sum(
-    positions: np.ndarray,
+    column_x: np.ndarray,
+    row_z: np.ndarray,
     currents: np.ndarray,
     points: np.ndarray,
     k: float,
@@ -394,12 +373,15 @@ def field_sum(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Superpose per-element spherical-wave contributions at each point.
 
-    ``currents`` is one excitation, shape (M,), or K of them, shape (K, M);
-    the complex (Ex, Ey, Ez) arrays come back as (P,) or (K, P) to match.
-    The K excitations share every distance, phase and polarization
-    evaluation, and each row equals a call with that row alone, bit for
-    bit.  Points must not coincide with element positions (guaranteed by
-    the caller's clearance check).
+    The elements are the lattice of the columns x = ``column_x`` (n_x,) and
+    the rows z = ``row_z`` (n_z,) on the plane y = 0, element (i, j) at
+    index i n_z + j, z fastest, as ``ArrayGeometry`` stores them.
+    ``currents`` is one excitation, shape (M,), or K of them, shape (K, M),
+    M = n_x n_z; the complex (Ex, Ey, Ez) arrays come back as (P,) or
+    (K, P) to match.  The K excitations share every distance, phase and
+    polarization evaluation, and each row equals a call with that row
+    alone, bit for bit.  Points must not coincide with elements (guaranteed
+    by the caller's clearance check).
 
     ``transverse``, of the same shape as ``currents``, gives Ex and Ey their
     own currents, and ``currents`` then drives Ez alone.  It is for points
@@ -407,14 +389,17 @@ def field_sum(
     module docstring), so the call skips it.  A point off z = 0 raises
     ``ValueError``.
     """
-    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    x = np.ascontiguousarray(column_x, dtype=np.float64)
+    z = np.ascontiguousarray(row_z, dtype=np.float64)
     cur = np.ascontiguousarray(currents, dtype=np.complex128)
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must have shape (M, 3), got {pos.shape}")
+    if x.ndim != 1 or z.ndim != 1:
+        raise ValueError(f"column_x and row_z must be 1-D, got shapes {x.shape} and {z.shape}")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must have shape (P, 3), got {pts.shape}")
-    if cur.ndim not in (1, 2) or cur.shape[-1] != pos.shape[0]:
+    ncol, nz = x.size, z.size
+    nelem = ncol * nz
+    if cur.ndim not in (1, 2) or cur.shape[-1] != nelem:
         raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
     # Ex and Ey sum X (0 - z_j) w, X the transverse rows or the currents,
     # and add z_p sum I w, except in transverse calls: there every z_p is 0
@@ -429,37 +414,39 @@ def field_sum(
     # point's sum is split and a point's value does not depend on which
     # points share its tile, nor on which worker runs it.  The current rows
     # are copied once, contiguous over a tile's points, so each product runs
-    # numpy's vector loop over the tile's (point, column) plane.
+    # numpy's vector loop over the tile's (point, column) plane.  A single
+    # column evaluates a lone point as two, so its buffers hold two points
+    # or more.
     k = float(k)
     nk = cur.shape[0] if cur.ndim == 2 else 1
-    nelem = pos.shape[0]
     npts = pts.shape[0]
-    nz = _column_length(pos)
-    ncol = nelem // nz
     step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
+    width = max(step, 2) if ncol == 1 else step
     out = np.empty((3, nk, npts), np.complex128)
-    cols = (np.ascontiguousarray(pos[::nz, :2].T[:, None, :]), _column_z(pos, nz))
+    # the columns' x and y = 0 as (2, 1, column), the rows' z as (z, 1, 1)
+    cols = (np.stack([x, np.zeros_like(x)])[:, None], z[:, None, None])
     starts = range(0, npts, step)
     nw = max(1, min(WORKERS, len(starts)))
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]
     # Every work buffer is a view of the calling thread's scratch buffer, the
     # shares' buffers first, then the current rows.  The workers are new
     # threads on every call, so buffers of their own would be new pages on
-    # every call.
-    row_shape = (nk, nz, step, ncol)
+    # every call.  dz^2 takes n_z entries per point, more than M only on a
+    # lattice without columns.
+    row_shape = (nk, nz, width, ncol)
     *buffers, axial, across = scratch(
-        ((nw, 3, step * nelem), np.float64),
-        ((nw, step * nelem), np.complex128),
-        ((nw, 3, step, ncol), np.float64),
-        ((nw, 3, step, ncol), np.complex128),
-        ((nw, 3, nk, step, ncol), np.complex128),
+        ((nw, 3, width * max(nelem, nz)), np.float64),
+        ((nw, width * nelem), np.complex128),
+        ((nw, 3, width, ncol), np.float64),
+        ((nw, 3, width, ncol), np.complex128),
+        ((nw, 3, nk, width, ncol), np.complex128),
         (row_shape, np.complex128),
         (row_shape, np.complex128),
     )
     # the column weights are real: their imaginary parts start at 0
     buffers[3].imag.fill(0.0)
     _tile_rows(axial, cur.reshape(nk, ncol, nz))
-    _tile_rows(across, across_cur.reshape(nk, ncol, nz), 0.0 - pos[:, 2].reshape(ncol, nz))
+    _tile_rows(across, across_cur.reshape(nk, ncol, nz), (0.0 - z)[:, None])
     rows = (axial, across, lift)
     faults = []
 

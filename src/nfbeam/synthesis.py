@@ -29,12 +29,15 @@ solve_foot = None
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Planar rectangular array in the xz-plane, centered on the origin."""
+    """Planar rectangular array in the xz-plane, centered on the origin; its
+    lattice axes are ``column_x`` (n_x,) and ``row_z`` (n_z,)."""
 
     n_x: int
     n_z: int
     spacing: float
     wavelength: float
+    column_x: np.ndarray = field(init=False, repr=False, compare=False)
+    row_z: np.ndarray = field(init=False, repr=False, compare=False)
     element_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -48,8 +51,9 @@ class ArrayGeometry:
         pos = np.zeros((self.n_x * self.n_z, 3))
         pos[:, 0] = np.repeat(xs, self.n_z)
         pos[:, 2] = np.tile(zs, self.n_x)
-        pos.setflags(write=False)
-        object.__setattr__(self, "element_positions", pos)
+        for name, value in (("column_x", xs), ("row_z", zs), ("element_positions", pos)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def half_wave(cls, n_x: int, n_z: int, wavelength: float) -> "ArrayGeometry":

@@ -301,10 +301,10 @@ class TestExitCodes:
         # fault in the share run by the worker thread must surface as exit 3
         tiles = kernels._tiles
 
-        def faulty(elems, rows, pts, k, out, starts, *buffers):
+        def faulty(cols, rows, pts, k, out, starts, *buffers):
             if threading.current_thread() is not threading.main_thread():
                 raise ValueError("injected kernel fault")
-            tiles(elems, rows, pts, k, out, starts, *buffers)
+            tiles(cols, rows, pts, k, out, starts, *buffers)
 
         monkeypatch.setattr(kernels, "WORKERS", 2)
         monkeypatch.setattr(kernels, "_tiles", faulty)

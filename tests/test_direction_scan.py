@@ -99,6 +99,31 @@ def test_scan_magnitudes_bit_identical_to_tensor_scan():
     assert np.array_equal(flat, _tensor_magnitude(array, exc, radius, lattice, lattice).ravel())
 
 
+def product_neighbourhood(marked):
+    """The scan's stage-2 directions as an int64 matrix product: lattice
+    index i is near coarse direction c when |i - stride c| <= stride."""
+    lattice, stride = analysis.SCAN_LATTICE_DEG, analysis.COARSE_STRIDE
+    offsets = np.arange(len(lattice))[:, None] - stride * np.arange(len(lattice[::stride]))
+    near = (np.abs(offsets) <= stride).astype(np.int64)
+    return np.nonzero(near @ marked.astype(np.int64) @ near.T)
+
+
+def test_neighbourhood_equals_product_formula(rng):
+    n = len(analysis.SCAN_LATTICE_DEG[:: analysis.COARSE_STRIDE])
+    masks = [rng.uniform(size=(n, n)) < p for p in (0.002, 0.02, 0.1, 0.5) for _ in range(5)]
+    # marked edge and corner cells, alone and together
+    for cells in ([(0, 0)], [(n - 1, n - 1)], [(0, n - 1), (n - 1, 0)], [(0, 7), (n - 1, 30)],
+                  [(12, 0), (40, n - 1), (n - 2, 1)]):
+        mask = np.zeros((n, n), bool)
+        mask[tuple(np.transpose(cells))] = True
+        masks.append(mask)
+    masks.append(np.ones((n, n), bool))
+    for mask in masks:
+        got, want = analysis._neighbourhood(mask), product_neighbourhood(mask)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_cone_scan_evaluates_few_directions(monkeypatch):
     array, exc, radius = cli_beam(16, "bessel", 20.0, -10.0)
     evaluated = []

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfbeam import analysis, field, kernels
+from nfbeam import analysis, cli, field, kernels
 from nfbeam.cli import SimulationConfig, analysis_radius, build_scenario
 from nfbeam.field import (
     ClearanceViolation,
@@ -306,7 +306,7 @@ def random_currents(rng, arr):
 
 def plain_field(arr, currents, points):
     """The unfolded sum: every point against every element."""
-    return kernels.field_sum(arr.element_positions, currents, points, K)
+    return kernels.field_sum(arr.column_x, arr.row_z, currents, points, K)
 
 
 def coarse_scan_points(radius):
@@ -498,11 +498,11 @@ class TestMirrorPairSums:
         # second reversing the lattice along x
         axial = np.stack([(own + mirror).ravel(), (own + mirror)[::-1].ravel()])
         transverse = np.stack([(own - mirror).ravel(), (own - mirror)[::-1].ravel()])
-        elems = arr.element_positions.reshape(n_x, n_z, 3)[:, :half].reshape(-1, 3)
         assert calls and sum(len(c["points"]) for c in calls) == (81 + 1) // 2 * 81
         for call in calls:
             assert not call["points"][:, 2].any()
-            np.testing.assert_array_equal(call["positions"], elems)
+            np.testing.assert_array_equal(call["column_x"], arr.column_x)
+            np.testing.assert_array_equal(call["row_z"], arr.row_z[:half])
             np.testing.assert_array_equal(call["currents"], axial)
             np.testing.assert_array_equal(call["transverse"], transverse)
 
@@ -515,6 +515,31 @@ class TestMirrorPairSums:
         fg = total_field(arr, Excitation(cur.ravel()), folding_sets(rng)["default xy grid"])
         assert not fg.ex.any() and not fg.ey.any()
         assert np.abs(fg.ez).min() > 0.0
+
+
+class TestOneColumnArray:
+    # a 1 x n_z array is a single lattice column: each point's column sum
+    # over z is the only sum the kernel forms for it
+    def test_run_and_off_plane_fields_match_element_sum(self, tmp_path):
+        scn = build_scenario(replace(DEFAULT, n_x=1, n_z=40))
+        exc = to_excitation(synthesize(scn.array, steer(scn.wavefront, scn.angles)))
+        k = wavenumber(scn.array.wavelength)
+        assert cli.main(["run", "--nx", "1", "--nz", "40", "--out-dir", str(tmp_path)]) == 0
+        # every fifth row of the run's field.csv, the xy grid on z = 0
+        data = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)[::5]
+        xz = ObservationGrid.plane_grid("xz", (-0.03, 0.03), (-0.03, 0.03), 21, 21, offset=0.1)
+        fg = total_field(scn.array, exc, xz)
+        cases = (
+            (data[:, :3], data[:, 3::2] + 1j * data[:, 4::2]),
+            (xz.points, np.column_stack([fg.ex, fg.ey, fg.ez])),
+        )
+        for points, got in cases:
+            for p, g in zip(points, got):
+                want = sum(
+                    element_field(e, c, p, k)
+                    for e, c in zip(scn.array.element_positions, exc.currents)
+                )
+                np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
 
 class TestFieldCsv:

@@ -25,10 +25,10 @@ import numpy as np
 import nfbeam
 from nfbeam import kernels
 rng = np.random.default_rng(0)
-pos = rng.uniform(-0.05, 0.05, (12, 3))
+x, z = rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.05, 0.05, 4)
 cur = np.exp(1j * rng.uniform(0.0, 6.3, (2, 12)))
 pts = rng.uniform(0.05, 0.2, (30, 3))
-out = np.stack(kernels.field_sum(pos, cur, pts, 2000.0))
+out = np.stack(kernels.field_sum(x, z, cur, pts, 2000.0))
 print('numba' in sys.modules, out.tobytes().hex())
 """
 
@@ -133,57 +133,55 @@ class TestNearestFeet:
         assert np.isnan(out.signed_distance[0])
 
 
-def field_sum_case(rng, nelem, npts, nk):
-    pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
-    pos[:, 1] = 0.0
-    cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
+def field_sum_case(rng, n_x, n_z, npts, nk):
+    """Random lattice axes with n_x columns and n_z rows, nk random current
+    rows and npts random points off the array."""
+    x = rng.uniform(-0.05, 0.05, n_x)
+    z = rng.uniform(-0.05, 0.05, n_z)
+    cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, n_x * n_z)))
     pts = rng.uniform(-0.2, 0.2, size=(npts, 3))
     pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
-    return pos, cur, pts, 2 * math.pi / 0.003
+    return x, z, cur, pts, 2 * math.pi / 0.003
+
+
+def positions(x, z):
+    """The (M, 3) element positions of the lattice of axes x and z, z fastest."""
+    pos = np.zeros((len(x) * len(z), 3))
+    pos[:, 0] = np.repeat(x, len(z))
+    pos[:, 2] = np.tile(z, len(x))
+    return pos
 
 
 def lattice(n_x, n_z):
-    return ArrayGeometry.half_wave(n_x, n_z, 0.003).element_positions
+    arr = ArrayGeometry.half_wave(n_x, n_z, 0.003)
+    return arr.column_x, arr.row_z
 
 
-def z_per_column(rng):
-    pos = lattice(8, 8).reshape(8, 8, 3).copy()
-    pos[:, :, 2] += rng.uniform(-0.002, 0.002, (8, 1))
-    return pos.reshape(-1, 3)
-
-
-# element layouts of the numpy kernel's column factoring, with the column
-# length it finds in each
+# the axes of ArrayGeometry lattices, as total_field passes them
 LATTICES = {
-    "8x8": (lambda rng: lattice(8, 8), 8),
-    "7x5": (lambda rng: lattice(7, 5), 5),
+    "8x8": lambda: lattice(8, 8),
+    "7x5": lambda: lattice(7, 5),
     # the z <= 0 half that total_field sums points on z = 0 over
-    "half_5x17": (lambda rng: lattice(5, 17).reshape(5, 17, 3)[:, :9].reshape(-1, 3), 9),
-    # a single column is summed as columns of one
-    "nx1": (lambda rng: lattice(1, 9), 1),
-    "nz1": (lambda rng: lattice(9, 1), 1),
-    "z_per_column": (z_per_column, 8),
-    # runs of 8 and a last run of 7: every element is its own column
-    "unequal_runs": (lambda rng: lattice(8, 8)[:-1], 1),
+    "half_5x17": lambda: (lattice(5, 17)[0], lattice(5, 17)[1][:9]),
+    "nx1": lambda: lattice(1, 9),
+    "nz1": lambda: lattice(9, 1),
 }
 
 
 def lattice_case(rng, layout, npts, nk):
     """A lattice case of field_sum_case's kind, with a point straight along z
     from each of three columns (rho = 0 for that column)."""
-    pos = LATTICES[layout][0](rng)
-    _, cur, pts, k = field_sum_case(rng, len(pos), npts, nk)
-    for p, n in zip((1, npts // 2, npts - 2), rng.integers(0, len(pos), 3)):
-        pts[p] = [pos[n, 0], pos[n, 1], rng.uniform(0.05, 0.2)]
-    return pos, cur, pts, k
+    x, z = LATTICES[layout]()
+    _, _, cur, pts, k = field_sum_case(rng, len(x), len(z), npts, nk)
+    for p, i in zip((1, npts // 2, npts - 2), rng.integers(0, len(x), 3)):
+        pts[p] = [x[i], 0.0, rng.uniform(0.05, 0.2)]
+    return x, z, cur, pts, k
 
 
-def test_column_length():
-    rng = np.random.default_rng(0)
-    for make, nz in LATTICES.values():
-        assert kernels._column_length(make(rng)) == nz
-    assert kernels._column_length(rng.uniform(size=(30, 3))) == 1
-    assert kernels._column_length(np.zeros((0, 3))) == 1
+def element_sum(x, z, cur, pts, k):
+    """(P, 3) fields of one current row, summed element by element."""
+    pos = positions(x, z)
+    return np.array([sum(element_field(e, c, p, k) for e, c in zip(pos, cur)) for p in pts])
 
 
 # points per tile of field_sum with 40 elements: the cases below state tile
@@ -196,65 +194,65 @@ class TestWorkerCount:
     # WORKERS runs it on each count
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize(
-        "nelem, npts",
+        "n_x, n_z, npts",
         [
             # the last of the 5 tiles is short
-            pytest.param(40, 4 * STEP_40 + STEP_40 // 2, id="40-5_tiles"),
+            pytest.param(5, 8, 4 * STEP_40 + STEP_40 // 2, id="40-5_tiles"),
             # more workers than tiles at 3
-            pytest.param(40, STEP_40 + STEP_40 // 4, id="40-2_tiles"),
-            pytest.param(40, 3 * STEP_40 // 4, id="40-1_tile"),
-            (40, 0),
-            # a point per tile
-            pytest.param(kernels.TILE_PAIRS + 5, 7, id="M_above_budget-7"),
+            pytest.param(1, 40, STEP_40 + STEP_40 // 4, id="40-2_tiles"),
+            pytest.param(40, 1, 3 * STEP_40 // 4, id="40-1_tile"),
+            pytest.param(8, 5, 0, id="40-0"),
+            # a point per tile, on one column
+            pytest.param(1, kernels.TILE_PAIRS + 5, 7, id="M_above_budget-7"),
         ],
     )
-    def test_results_equal_for_any_worker_count(self, monkeypatch, rng, nelem, npts, nk):
-        pos, cur, pts, k = field_sum_case(rng, nelem, npts, nk)
+    def test_results_equal_for_any_worker_count(self, monkeypatch, rng, n_x, n_z, npts, nk):
+        x, z, cur, pts, k = field_sum_case(rng, n_x, n_z, npts, nk)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            results.append(kernels.field_sum(pos, cur, pts, k))
+            results.append(kernels.field_sum(x, z, cur, pts, k))
         for other in results[1:]:
-            for x, y in zip(results[0], other):
-                assert x.shape == (nk, npts)
-                np.testing.assert_array_equal(x, y)
+            for a, b in zip(results[0], other):
+                assert a.shape == (nk, npts)
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize("layout", LATTICES)
     def test_lattice_results_equal_for_any_worker_count(self, monkeypatch, rng, layout, nk):
         # tiles of 3 points, split over 1, 2 and 3 workers
-        pos, cur, pts, k = lattice_case(rng, layout, 40, nk)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        x, z, cur, pts, k = lattice_case(rng, layout, 40, nk)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * cur.shape[1] + 1)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            results.append(kernels.field_sum(pos, cur, pts, k))
+            results.append(kernels.field_sum(x, z, cur, pts, k))
         for other in results[1:]:
-            for x, y in zip(results[0], other):
-                np.testing.assert_array_equal(x, y)
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a, b)
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, rng):
         # 10 tiles over 8 threads that the interpreter switches between every
         # microsecond: each still writes only its own slice of the output
-        pos, cur, pts, k = field_sum_case(rng, 40, 9 * STEP_40 + STEP_40 // 2, 3)
+        x, z, cur, pts, k = field_sum_case(rng, 5, 8, 9 * STEP_40 + STEP_40 // 2, 3)
         monkeypatch.setattr(kernels, "WORKERS", 1)
-        want = kernels.field_sum(pos, cur, pts, k)
+        want = kernels.field_sum(x, z, cur, pts, k)
         monkeypatch.setattr(kernels, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = kernels.field_sum(pos, cur, pts, k)
+            got = kernels.field_sum(x, z, cur, pts, k)
         finally:
             sys.setswitchinterval(interval)
-        for x, y in zip(want, got):
-            np.testing.assert_array_equal(x, y)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_fault_in_second_share_reaches_caller(self, monkeypatch, rng, workers):
         # 5 tiles: the point in the middle tile falls in the second share,
         # run by a worker thread at 3 workers and by the caller at 2
         npts = 4 * STEP_40 + STEP_40 // 2
-        pos, cur, pts, k = field_sum_case(rng, 40, npts, 3)
+        x, z, cur, pts, k = field_sum_case(rng, 5, 8, npts, 3)
         middle = npts // 2
         tiles = kernels._tiles
         ran = []
@@ -262,17 +260,17 @@ class TestWorkerCount:
         class Fault(Exception):
             pass
 
-        def faulty(elems, rows, pts, k, out, starts, *buffers):
+        def faulty(cols, rows, pts, k, out, starts, *buffers):
             ran.append(starts)
             if any(s <= middle < s + STEP_40 for s in starts):
                 raise Fault("second share")
-            tiles(elems, rows, pts, k, out, starts, *buffers)
+            tiles(cols, rows, pts, k, out, starts, *buffers)
 
         monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "_tiles", faulty)
         alive = threading.active_count()
         with pytest.raises(Fault, match="second share"):
-            kernels.field_sum(pos, cur, pts, k)
+            kernels.field_sum(x, z, cur, pts, k)
         assert len(ran) == workers
         assert threading.active_count() == alive
 
@@ -287,11 +285,10 @@ class TestFieldSum:
 
     def test_point_on_element_z_axis(self):
         # rho == 0 branch: azimuth defaults to 0, u = (dz/r, 0, 0)
-        pos = np.array([[0.01, 0.0, 0.02]])
         cur = np.array([1.0 + 0.0j])
         pts = np.array([[0.01, 0.0, 1.02]])
         k = 2 * math.pi / 0.003
-        ex, ey, ez = kernels.field_sum(pos, cur, pts, k)
+        ex, ey, ez = kernels.field_sum([0.01], [0.02], cur, pts, k)
         expected = np.exp(-1j * k * 1.0) / 1.0
         assert ex[0] == pytest.approx(expected, abs=1e-12)
         assert ey[0] == 0.0
@@ -316,250 +313,218 @@ class TestFieldSum:
         pts = np.zeros((z.size, 3))
         pts[:, 2] = z
         cur = np.exp(1j * rng.uniform(0, 2 * math.pi, 1))
-        ex, ey, ez = kernels.field_sum(np.zeros((1, 3)), cur, pts, k)
+        ex, ey, ez = kernels.field_sum([0.0], [0.0], cur, pts, k)
         want = cur[0] * np.exp(-1j * k * z) / z
         assert np.all(np.abs(ex - want) <= 3 * np.finfo(float).eps / z)
         assert not ey.any() and not ez.any()
 
     def test_chunked_equals_unchunked(self, rng, monkeypatch):
-        pos = rng.uniform(-0.05, 0.05, size=(20, 3))
-        pos[:, 1] = 0.0
-        pts = rng.uniform(-0.2, 0.2, size=(50, 3))
-        pts[:, 1] = rng.uniform(0.05, 0.4, size=50)
-        k = 2 * math.pi / 0.003
-        currents = [np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, 20))) for nk in (1, 3)]
-        full = [kernels.field_sum(pos, cur, pts, k) for cur in currents]
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 7)
-        for cur, want in zip(currents, full):
-            small = kernels.field_sum(pos, cur, pts, k)
-            for x, y in zip(want, small):
-                np.testing.assert_array_equal(x, y)
+        # a point per tile at 7 pairs: on one column every tile is a lone point
+        for n_x, n_z in ((4, 5), (1, 20), (20, 1), (3, 7)):
+            x, z, _, pts, k = field_sum_case(rng, n_x, n_z, 50, 0)
+            currents = [np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, n_x * n_z))) for nk in (1, 3)]
+            full = [kernels.field_sum(x, z, cur, pts, k) for cur in currents]
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "TILE_PAIRS", 7)
+                for cur, want in zip(currents, full):
+                    small = kernels.field_sum(x, z, cur, pts, k)
+                    for a, b in zip(want, small):
+                        np.testing.assert_array_equal(a, b)
 
     def test_each_current_row_equals_its_own_call(self, rng):
         # the K rows share the geometry but not the rounding: every row, and
         # every point of it, is bit-identical to a one-current, one-point call
-        pos = rng.uniform(-0.05, 0.05, size=(30, 3))
-        pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (3, 30))) * rng.uniform(0.5, 2.0, (3, 30))
-        pts = rng.uniform(-0.2, 0.2, size=(40, 3))
-        pts[:, 1] = rng.uniform(0.05, 0.4, size=40)
-        k = 2 * math.pi / 0.003
-        self.check_rows_alone(pos, cur, pts, k, (0, 17, 39))
+        x, z, cur, pts, k = field_sum_case(rng, 5, 6, 40, 3)
+        cur *= rng.uniform(0.5, 2.0, cur.shape)
+        self.check_rows_alone(x, z, cur, pts, k, (0, 17, 39))
 
     @pytest.mark.parametrize("layout", LATTICES)
     def test_lattice_current_rows_equal_their_own_calls(self, rng, monkeypatch, layout):
-        pos, cur, pts, k = lattice_case(rng, layout, 40, 3)
+        x, z, cur, pts, k = lattice_case(rng, layout, 40, 3)
         cur *= rng.uniform(0.5, 2.0, cur.shape)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
-        self.check_rows_alone(pos, cur, pts, k, (0, 1, 17, 20, 38, 39))
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * cur.shape[1] + 1)
+        self.check_rows_alone(x, z, cur, pts, k, (0, 1, 17, 20, 38, 39))
 
     @staticmethod
-    def check_rows_alone(pos, cur, pts, k, points):
+    def check_rows_alone(x, z, cur, pts, k, points):
         nk, npts = len(cur), len(pts)
-        rows = kernels.field_sum(pos, cur, pts, k)
+        rows = kernels.field_sum(x, z, cur, pts, k)
         assert all(e.shape == (nk, npts) for e in rows)
         for q in range(nk):
-            single = kernels.field_sum(pos, cur[q], pts, k)
-            for x, y in zip(rows, single):
-                np.testing.assert_array_equal(x[q], y)
+            single = kernels.field_sum(x, z, cur[q], pts, k)
+            for a, b in zip(rows, single):
+                np.testing.assert_array_equal(a[q], b)
             for p in points:
-                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
-                for x, y in zip(rows, alone):
-                    np.testing.assert_array_equal(x[q, p : p + 1], y)
+                alone = kernels.field_sum(x, z, cur[q], pts[p : p + 1], k)
+                for a, b in zip(rows, alone):
+                    np.testing.assert_array_equal(a[q, p : p + 1], b)
 
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize(
-        "nelem, npts",
+        "n_x, n_z, npts",
         [
-            (1, 9000),
-            (2, 9000),
-            (3, 9000),
-            (9, 9000),
-            # at a 32,768-pair budget: tiles of 3 points, the last one short
-            (8197, 4),
-            # at a 32,768-pair budget: two points do not fit, one per tile
-            (16389, 4),
-            pytest.param(kernels.TILE_PAIRS + 5, 4, id="M_above_budget-4"),
-        ],
+            pytest.param(n_x, n_z, npts, id=f"{n_x * n_z}-{npts}")
+            for n_x, n_z, npts in [
+                (1, 1, 9000),
+                (1, 2, 9000),
+                (3, 1, 9000),
+                (3, 3, 9000),
+                # at a 32,768-pair budget: tiles of 3 points, the last one short
+                (7, 1171, 4),
+                # at a 32,768-pair budget: two points do not fit, one per
+                # tile, on one column
+                (1, 16389, 4),
+            ]
+        ]
+        + [pytest.param(5, kernels.TILE_PAIRS // 5 + 1, 4, id="M_above_budget-4")],
     )
-    def test_point_alone_equals_point_in_tile(self, rng, nelem, npts, nk):
+    def test_point_alone_equals_point_in_tile(self, rng, n_x, n_z, npts, nk):
         # thousands of points per tile and tiles that end mid-call, or one
         # point per tile when two do not fit or M exceeds the budget: each
         # point's value is its one-point, one-current value, bit for bit (a
         # broadcast product of one element rounds differently at M = 1)
-        pos = rng.uniform(-0.05, 0.05, size=(nelem, 3))
-        pos[:, 1] = 0.0
-        cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, nelem)))
-        pts = rng.uniform(-0.2, 0.2, size=(npts, 3))
-        pts[:, 1] = rng.uniform(0.05, 0.4, size=npts)
-        k = 2 * math.pi / 0.003
-        rows = kernels.field_sum(pos, cur, pts, k)
-        step = max(1, kernels.TILE_PAIRS // nelem)
+        x, z, cur, pts, k = field_sum_case(rng, n_x, n_z, npts, nk)
+        rows = kernels.field_sum(x, z, cur, pts, k)
+        step = max(1, kernels.TILE_PAIRS // (n_x * n_z))
         edges = [i for s in range(step, npts, step) for i in (s - 1, s)]
         for p in sorted({0, npts - 1, *edges, *rng.integers(0, npts, 20).tolist()}):
             for q in range(nk):
-                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
-                for x, y in zip(rows, alone):
-                    assert x[q, p] == y[0]
+                alone = kernels.field_sum(x, z, cur[q], pts[p : p + 1], k)
+                for a, b in zip(rows, alone):
+                    assert a[q, p] == b[0]
 
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize("layout", LATTICES)
     def test_lattice_point_alone_equals_point_in_tile(self, rng, monkeypatch, layout, nk):
         # tiles of 3 points, the last one short: every point, on the axis of
         # a column or not, is its one-point, one-current value, bit for bit
-        pos, cur, pts, k = lattice_case(rng, layout, 20, nk)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
-        rows = kernels.field_sum(pos, cur, pts, k)
+        x, z, cur, pts, k = lattice_case(rng, layout, 20, nk)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * cur.shape[1] + 1)
+        rows = kernels.field_sum(x, z, cur, pts, k)
         for p in range(len(pts)):
             for q in range(nk):
-                alone = kernels.field_sum(pos, cur[q], pts[p : p + 1], k)
-                for x, y in zip(rows, alone):
-                    np.testing.assert_array_equal(x[q, p], y[0])
+                alone = kernels.field_sum(x, z, cur[q], pts[p : p + 1], k)
+                for a, b in zip(rows, alone):
+                    np.testing.assert_array_equal(a[q, p], b[0])
+
+    def test_one_column_lone_point_equals_point_in_full_tile(self, rng, monkeypatch):
+        # one column: a tile's (point, column) plane has one entry per point,
+        # and numpy sums a plane of one entry pairwise.  Tiles of 3 points
+        # leave point 6 alone in the last tile; it and every one-point call
+        # keep the value of the point in the middle of a full tile.
+        x, z, cur, pts, k = field_sum_case(rng, 1, 40, 7, 2)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * 40)
+        rows = kernels.field_sum(x, z, cur, pts, k)
+        for p in range(len(pts)):
+            full = kernels.field_sum(x, z, cur, pts[[(p + 1) % 7, p, (p + 2) % 7]], k)
+            alone = kernels.field_sum(x, z, cur, pts[p : p + 1], k)
+            for a, b, c in zip(full, rows, alone):
+                np.testing.assert_array_equal(b[:, p], a[:, 1])
+                np.testing.assert_array_equal(c[:, 0], a[:, 1])
 
     @pytest.mark.parametrize("layout", LATTICES)
     def test_lattice_matches_element_sum(self, rng, layout):
-        pos, cur, pts, k = lattice_case(rng, layout, 12, 1)
-        got = np.column_stack(kernels.field_sum(pos, cur[0], pts, k))
-        for p in range(len(pts)):
-            want = sum(element_field(pos[n], cur[0, n], pts[p], k) for n in range(len(pos)))
-            np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+        x, z, cur, pts, k = lattice_case(rng, layout, 12, 1)
+        got = np.column_stack(kernels.field_sum(x, z, cur[0], pts, k))
+        want = element_sum(x, z, cur[0], pts, k)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15 * np.abs(w).max())
 
     def test_on_axis_pairs_in_a_tile(self, rng):
         # a 3x3 lattice at y = 0; points at y = 0 straight along z from an
         # element column are on the z axis (rho = 0) of all three elements of
         # that column, and share the call with ordinary points
         grid = np.array([-0.01, 0.0, 0.01])
-        pos = np.column_stack([np.repeat(grid, 3), np.zeros(9), np.tile(grid, 3)])
         cur = np.exp(1j * rng.uniform(0, 2 * math.pi, 9))
         pts = rng.uniform(-0.2, 0.2, size=(30, 3))
         pts[:, 1] = rng.uniform(0.05, 0.4, size=30)
         pts[[4, 17], :] = [[-0.01, 0.0, 0.5], [0.01, 0.0, -0.4]]
         k = 2 * math.pi / 0.003
-        got = np.column_stack(kernels.field_sum(pos, cur, pts, k))
-        for p in range(len(pts)):
-            want = sum(element_field(pos[n], cur[n], pts[p], k) for n in range(9))
-            np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+        got = np.column_stack(kernels.field_sum(grid, grid, cur, pts, k))
+        want = element_sum(grid, grid, cur, pts, k)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15 * np.abs(w).max())
         for p in (4, 17):
-            alone = kernels.field_sum(pos, cur, pts[p : p + 1], k)
+            alone = kernels.field_sum(grid, grid, cur, pts[p : p + 1], k)
             assert list(got[p]) == [e[0] for e in alone]
 
     def test_empty_points_and_elements(self):
         k = 2 * math.pi / 0.003
-        pos = np.zeros((4, 3))
         pts = np.ones((5, 3))
         for cur, shape in ((np.ones(4, complex), (0,)), (np.ones((3, 4), complex), (3, 0))):
-            assert all(e.shape == shape for e in kernels.field_sum(pos, cur, np.zeros((0, 3)), k))
-        for cur, shape in ((np.ones(0, complex), (5,)), (np.ones((3, 0), complex), (3, 5))):
-            out = kernels.field_sum(np.zeros((0, 3)), cur, pts, k)
-            assert all(e.shape == shape and not e.any() for e in out)
+            out = kernels.field_sum(np.zeros(2), np.zeros(2), cur, np.zeros((0, 3)), k)
+            assert all(e.shape == shape for e in out)
+        for x, z in ((np.zeros(0), np.zeros(3)), (np.zeros(3), np.zeros(0))):
+            for cur, shape in ((np.ones(0, complex), (5,)), (np.ones((3, 0), complex), (3, 5))):
+                out = kernels.field_sum(x, z, cur, pts, k)
+                assert all(e.shape == shape and not e.any() for e in out)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            kernels.field_sum(np.zeros((2, 2)), np.ones(2, complex), np.zeros((1, 3)), 1.0)
-        with pytest.raises(ValueError):
-            kernels.field_sum(np.zeros((2, 3)), np.ones(3, complex), np.zeros((1, 3)), 1.0)
-        with pytest.raises(ValueError):
-            kernels.field_sum(np.zeros((2, 3)), np.ones((4, 3), complex), np.zeros((1, 3)), 1.0)
-        with pytest.raises(ValueError):
-            kernels.field_sum(np.zeros((2, 3)), np.ones((1, 1, 2), complex), np.zeros((1, 3)), 1.0)
-
-
-def shifted_columns():
-    """A 6x5 lattice whose columns keep their length but not their z: column
-    c is shifted along z by c d / 7."""
-    pos = lattice(6, 5).reshape(6, 5, 3).copy()
-    pos[:, :, 2] += (np.arange(6) * 0.0015 / 7)[:, None]
-    return pos.reshape(-1, 3)
-
-
-class TestColumnZ:
-    # ArrayGeometry lattices share their z values across columns, so the
-    # kernel forms dz and dz^2 once per (z, point); columns with z values of
-    # their own take dz per pair
-    def test_shared_z_only_when_every_column_agrees(self):
-        for n_x, n_z in ((8, 8), (7, 5), (1, 9)):
-            pos = lattice(n_x, n_z)
-            np.testing.assert_array_equal(kernels._column_z(pos, n_z), pos[:n_z, 2, None, None])
-        pos = shifted_columns()
-        assert kernels._column_length(pos) == 5
-        ze = kernels._column_z(pos, 5)
-        assert ze.shape == (5, 1, 6)
-        np.testing.assert_array_equal(ze[:, 0], pos[:, 2].reshape(6, 5).T)
-
-    def test_own_z_matches_element_sum(self, rng):
-        pos = shifted_columns()
-        _, cur, pts, k = field_sum_case(rng, len(pos), 12, 2)
-        got = kernels.field_sum(pos, cur, pts, k)
-        for q in range(2):
-            for p in range(len(pts)):
-                want = sum(element_field(pos[n], cur[q, n], pts[p], k) for n in range(len(pos)))
-                np.testing.assert_allclose(
-                    [e[q, p] for e in got], want, rtol=1e-12, atol=1e-15 * np.abs(want).max()
-                )
-
-    def test_own_z_rows_and_points_alone(self, rng, monkeypatch):
-        # tiles of 3 points, the last one short
-        pos = shifted_columns()
-        _, cur, pts, k = field_sum_case(rng, len(pos), 20, 3)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
-        TestFieldSum.check_rows_alone(pos, cur, pts, k, range(len(pts)))
+        pts = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="1-D"):
+            kernels.field_sum(np.zeros((2, 1)), np.zeros(1), np.ones(2, complex), pts, 1.0)
+        with pytest.raises(ValueError, match="points"):
+            kernels.field_sum(np.zeros(2), np.zeros(1), np.ones(2, complex), np.zeros((1, 2)), 1.0)
+        for cur in (np.ones(3, complex), np.ones((4, 3), complex), np.ones((1, 1, 2), complex)):
+            with pytest.raises(ValueError, match="one entry per element"):
+                kernels.field_sum(np.zeros(2), np.zeros(1), cur, pts, 1.0)
 
 
 def z0_case(rng, nk):
-    """The z <= 0 half of a 5x17 lattice, axial and transverse current rows,
-    and points on z = 0, -0.0 among them."""
-    pos = lattice(5, 17).reshape(5, 17, 3)[:, :9].reshape(-1, 3)
-    _, axial, pts, k = field_sum_case(rng, len(pos), 20, nk)
-    _, transverse, _, _ = field_sum_case(rng, len(pos), 0, nk)
+    """The axes of the z <= 0 half of a 5x17 lattice, axial and transverse
+    current rows, and points on z = 0, -0.0 among them."""
+    x, z = LATTICES["half_5x17"]()
+    _, _, axial, pts, k = field_sum_case(rng, len(x), len(z), 20, nk)
+    transverse = field_sum_case(rng, len(x), len(z), 0, nk)[2]
     pts[:, 2] = 0.0
     pts[::3, 2] = -0.0
-    return pos, axial, transverse, pts, k
+    return x, z, axial, transverse, pts, k
 
 
 class TestTransverseRows:
     # points on z = 0: Ex and Ey from the transverse rows, Ez from the axial
     # ones, with dz = 0.0 - z folded into the transverse rows
     def test_against_two_plain_calls(self, rng):
-        pos, axial, transverse, pts, k = z0_case(rng, 2)
-        ex, ey, ez = kernels.field_sum(pos, axial, pts, k, transverse)
-        tx, ty, _ = kernels.field_sum(pos, transverse, pts, k)
-        _, _, az = kernels.field_sum(pos, axial, pts, k)
+        x, z, axial, transverse, pts, k = z0_case(rng, 2)
+        ex, ey, ez = kernels.field_sum(x, z, axial, pts, k, transverse)
+        tx, ty, _ = kernels.field_sum(x, z, transverse, pts, k)
+        _, _, az = kernels.field_sum(x, z, axial, pts, k)
         # every call sums Ex and Ey over X (0 - z_j) w; a plain call adds
         # z_p sum I w, which is a zero here
         for got, want in ((ex, tx), (ey, ty), (ez, az)):
             np.testing.assert_array_equal(got, want)
 
     def test_rows_and_points_alone(self, rng, monkeypatch):
-        pos, axial, transverse, pts, k = z0_case(rng, 3)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
-        rows = kernels.field_sum(pos, axial, pts, k, transverse)
+        x, z, axial, transverse, pts, k = z0_case(rng, 3)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * axial.shape[1] + 1)
+        rows = kernels.field_sum(x, z, axial, pts, k, transverse)
         for q in range(3):
-            single = kernels.field_sum(pos, axial[q], pts, k, transverse[q])
-            for x, y in zip(rows, single):
-                np.testing.assert_array_equal(x[q], y)
+            single = kernels.field_sum(x, z, axial[q], pts, k, transverse[q])
+            for a, b in zip(rows, single):
+                np.testing.assert_array_equal(a[q], b)
             for p in range(len(pts)):
-                alone = kernels.field_sum(pos, axial[q], pts[p : p + 1], k, transverse[q])
-                for x, y in zip(rows, alone):
-                    np.testing.assert_array_equal(x[q, p : p + 1], y)
+                alone = kernels.field_sum(x, z, axial[q], pts[p : p + 1], k, transverse[q])
+                for a, b in zip(rows, alone):
+                    np.testing.assert_array_equal(a[q, p : p + 1], b)
 
     def test_worker_count_changes_no_bit(self, rng, monkeypatch):
-        pos, axial, transverse, pts, k = z0_case(rng, 2)
-        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * len(pos) + 1)
+        x, z, axial, transverse, pts, k = z0_case(rng, 2)
+        monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * axial.shape[1] + 1)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            results.append(kernels.field_sum(pos, axial, pts, k, transverse))
+            results.append(kernels.field_sum(x, z, axial, pts, k, transverse))
         for other in results[1:]:
-            for x, y in zip(results[0], other):
-                np.testing.assert_array_equal(x, y)
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a, b)
 
     def test_rejects_points_off_z0_and_mismatched_rows(self, rng):
-        pos, axial, transverse, pts, k = z0_case(rng, 2)
+        x, z, axial, transverse, pts, k = z0_case(rng, 2)
         pts[7, 2] = 1e-9
         with pytest.raises(ValueError, match="z = 0"):
-            kernels.field_sum(pos, axial, pts, k, transverse)
+            kernels.field_sum(x, z, axial, pts, k, transverse)
         with pytest.raises(ValueError, match="shape of currents"):
-            kernels.field_sum(pos, axial, pts[:7], k, transverse[:1])
+            kernels.field_sum(x, z, axial, pts[:7], k, transverse[:1])
 
 
 def per_pair_sum(pos, cur, pts, k):
@@ -601,9 +566,10 @@ class TestSingleFormulation:
     # row, or far from the array, the two parts are much larger than S_c
     @pytest.mark.parametrize("n", [40, 64])
     def test_split_within_cancellation_bound(self, rng, n):
-        pos = lattice(n, n)
-        d = pos[1, 2] - pos[0, 2]
-        top = pos[:, 2].max()
+        x, z = lattice(n, n)
+        pos = positions(x, z)
+        d = z[1] - z[0]
+        top = z.max()
         near = np.column_stack(
             [
                 rng.uniform(-n * d / 2, n * d / 2, 12),
@@ -618,7 +584,7 @@ class TestSingleFormulation:
         pts = np.concatenate([near, far])
         cur = np.exp(1j * rng.uniform(0, 2 * math.pi, (2, len(pos))))
         k = 2 * math.pi / 0.003
-        ex, ey, _ = kernels.field_sum(pos, cur, pts, k)
+        ex, ey, _ = kernels.field_sum(x, z, cur, pts, k)
         (rx, ry), bound = per_pair_sum(pos, cur, pts, k)
         # fixed from the first-order bound in u = eps / 2 before the test
         # ran: the kernel rounds S_c within (n_z + 3) u B (X (0 - z_j) and
@@ -640,25 +606,27 @@ def reuse_case(name):
 
 
 def _one_row(args):
-    # (pos, cur, pts, k[, transverse]) with row 0 of each current array
-    pos, cur, pts, k, *tr = args
-    return (pos, cur[0], pts, k, *(t[0] for t in tr))
+    # (x, z, cur, pts, k[, transverse]) with row 0 of each current array
+    x, z, cur, pts, k, *tr = args
+    return (x, z, cur[0], pts, k, *(t[0] for t in tr))
 
 
 def _z0_args(rng, nk):
-    pos, axial, transverse, pts, k = z0_case(rng, nk)
-    return pos, axial, pts, k, transverse
+    x, z, axial, transverse, pts, k = z0_case(rng, nk)
+    return x, z, axial, pts, k, transverse
 
 
 REUSE_CASES = {
     # more elements than TILE_PAIRS: a point per tile
-    "above_budget": lambda rng: field_sum_case(rng, kernels.TILE_PAIRS + 5, 7, 4),
+    "above_budget": lambda rng: field_sum_case(rng, 5, kernels.TILE_PAIRS // 5 + 1, 7, 4),
     # five tiles of a 16x16 lattice, split over the workers
-    "k4_lattice": lambda rng: (lattice(16, 16), *field_sum_case(rng, 256, 600, 4)[1:]),
-    "k1": lambda rng: _one_row(field_sum_case(rng, 40, STEP_40 + 100, 1)),
+    "k4_lattice": lambda rng: (*lattice(16, 16), *field_sum_case(rng, 16, 16, 600, 4)[2:]),
+    "k1": lambda rng: _one_row(field_sum_case(rng, 5, 8, STEP_40 + 100, 1)),
     "k4_transverse": lambda rng: _z0_args(rng, 4),
-    "empty": lambda rng: (lattice(8, 8), *field_sum_case(rng, 64, 0, 4)[1:]),
+    "empty": lambda rng: (*lattice(8, 8), *field_sum_case(rng, 8, 8, 0, 4)[2:]),
     "k1_transverse": lambda rng: _one_row(_z0_args(rng, 1)),
+    # a lone point on one column, evaluated as a pair
+    "k3_one_column_one_point": lambda rng: field_sum_case(rng, 1, 40, 1, 3),
 }
 
 # a fresh interpreter, with the directory in argv[2] first on sys.path, makes
@@ -735,11 +703,11 @@ class TestScratch:
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         # a 40x40 lattice, four current rows and 900 points off z = 0
-        pos = lattice(40, 40)
-        _, cur, _, k = field_sum_case(rng, len(pos), 0, 4)
+        x, z = lattice(40, 40)
+        cur, _, k = field_sum_case(rng, 40, 40, 0, 4)[2:]
         side = np.linspace(-0.05, 0.05, 30)
         pts = np.stack(np.meshgrid(side, [0.1], side), -1).reshape(-1, 3)
-        field = faults(lambda: kernels.field_sum(pos, cur, pts, k))
+        field = faults(lambda: kernels.field_sum(x, z, cur, pts, k))
         # 6,561 rows of 9 values
         columns = tuple(rng.normal(size=(9, 6561)) * 10.0 ** rng.integers(-3, 9, (9, 6561)))
         csv = faults(lambda: write_csv(tmp_path / "t.csv", ",".join("abcdefghi"), columns))
