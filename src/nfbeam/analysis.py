@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import FAR_FIELD_CLEARANCE_WAVELENGTHS, FieldGrid, ObservationGrid, total_field
+from .field import FAR_FIELD_CLEARANCE_WAVELENGTHS, FAR_LIMIT_WAVELENGTHS
+from .field import FieldGrid, ObservationGrid, total_field
 from .synthesis import ArrayGeometry, Excitation
 
 
@@ -150,8 +151,8 @@ def min_scan_radius(array: ArrayGeometry) -> float:
 
 
 def check_scan_radius(array: ArrayGeometry, radius: float) -> None:
-    """Raise :class:`RadiusOutOfRange` unless ``radius`` is finite and at
-    least :func:`min_scan_radius`."""
+    """Raise :class:`RadiusOutOfRange` unless ``radius`` is finite, at least
+    :func:`min_scan_radius` and at most :data:`FAR_LIMIT_WAVELENGTHS`."""
     if not math.isfinite(radius):
         raise RadiusOutOfRange(f"scan radius {radius!r} m must be finite")
     min_radius = min_scan_radius(array)
@@ -159,6 +160,12 @@ def check_scan_radius(array: ArrayGeometry, radius: float) -> None:
         raise RadiusOutOfRange(
             f"scan radius {radius:.6g} m must be at least {min_radius:.6g} m (aperture "
             f"radius plus {FAR_FIELD_CLEARANCE_WAVELENGTHS:g}-wavelength clearance)"
+        )
+    far = FAR_LIMIT_WAVELENGTHS * array.wavelength
+    if radius > far:
+        raise RadiusOutOfRange(
+            f"scan radius {radius:.6g} m must be at most {far:.6g} m "
+            f"({FAR_LIMIT_WAVELENGTHS:g} wavelengths)"
         )
 
 

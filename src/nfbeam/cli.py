@@ -262,18 +262,25 @@ def analysis_radius(scn: Scenario) -> float:
     Gaussian (plane-wavefront) beams are scanned at the Fraunhofer distance
     2 D^2 / lambda of the aperture diameter D, where the peak of |E| on the
     sphere tracks the beam axis.  Either radius is raised to the scan's
-    minimum clearance.  A configured radius below that minimum raises
-    :class:`analysis.RadiusOutOfRange`.
+    minimum clearance.  A configured radius below that minimum, or any
+    radius beyond the far limit of ``field.FAR_LIMIT_WAVELENGTHS``, raises
+    :class:`analysis.RadiusOutOfRange`; for a Bessel beam the message names
+    the cone slope the radius came from.
     """
     cfg = scn.config
+    radius, source = cfg.analysis_radius_m, ""
     min_radius = analysis.min_scan_radius(scn.array)
-    if cfg.analysis_radius_m is not None:
-        analysis.check_scan_radius(scn.array, cfg.analysis_radius_m)
-        return cfg.analysis_radius_m
-    if scn.wavefront.kind == CONE:
-        return max(0.5 * analysis.propagation_range(scn.array, cfg.h_over_r), min_radius)
-    diameter = 2.0 * scn.array.aperture_radius
-    return max(2.0 * diameter**2 / scn.array.wavelength, min_radius)
+    if radius is None and scn.wavefront.kind == CONE:
+        radius = max(0.5 * analysis.propagation_range(scn.array, cfg.h_over_r), min_radius)
+        source = f"; it is half the propagation range of cone slope h/r = {cfg.h_over_r:g}"
+    elif radius is None:
+        diameter = 2.0 * scn.array.aperture_radius
+        radius = max(2.0 * diameter**2 / scn.array.wavelength, min_radius)
+    try:
+        analysis.check_scan_radius(scn.array, radius)
+    except analysis.RadiusOutOfRange as exc:
+        raise analysis.RadiusOutOfRange(f"{exc}{source}") from None
+    return radius
 
 
 def _synthesize(scn: Scenario) -> PhaseDistribution:

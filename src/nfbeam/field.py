@@ -3,8 +3,9 @@ polarization over observation grids.
 
 Each element radiates E = I_n * exp(-j*k*||r_n||) / ||r_n|| * u_theta with
 the theta-oriented unit polarization of a z-aligned dipole, evaluated in
-the element's own far field.  Observation points must be finite and keep a
-clearance of ten wavelengths from every element; other points are rejected
+the element's own far field.  Observation points must be finite, keep a
+clearance of ten wavelengths from every element and lie within 1e12
+wavelengths of the array centre on every axis; other points are rejected
 rather than approximated.
 
 The centred element lattice is its own mirror image in x and in z, so the
@@ -16,15 +17,15 @@ lattice reversed along x and along z:
 
 :func:`total_field` uses them to evaluate every point at its representative
 (|x|, y, |z|), once per mirror current that its family needs (the points
-on z = 0, or the rest), in multi-current ``kernels.field_sum`` calls.  On
-z = 0 a point is its own z mirror, so there the elements pair up across
-z = 0 instead, and each pair's two currents are summed before the kernel:
-over the z <= 0 half of the lattice, Ez takes A = I + I∘Mz and Ex and Ey
-take B = I - I∘Mz, whose sign is the Ex and Ey sign flip of the z mirror.
-One A row and one B row per mirror current replace the rows I and I∘Mz.  A
-point's value depends only on the point, the array and the currents, never
-on which other points share the call, and each point's sum over elements
-runs in a fixed order (see ``kernels``), so repeated runs are
+on z = 0, or the rest), in one multi-current ``kernels.field_sum`` call per
+family.  On z = 0 a point is its own z mirror, so there the elements pair
+up across z = 0 instead, and each pair's two currents are summed before the
+kernel: over the z <= 0 half of the lattice, Ez takes A = I + I∘Mz and Ex
+and Ey take B = I - I∘Mz, whose sign is the Ex and Ey sign flip of the z
+mirror.  One A row and one B row per mirror current replace the rows I and
+I∘Mz.  A point's value depends only on the point, the array and the
+currents, never on which other points share the call, and each point's sum
+over elements runs in a fixed order (see ``kernels``), so repeated runs are
 bit-identical.
 """
 
@@ -44,9 +45,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 PLANE_AXES = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 FAR_FIELD_CLEARANCE_WAVELENGTHS = 10.0
-
-# (current row, point) pairs per kernels.field_sum call of total_field
-BLOCK_PAIRS = 8192
+# The farthest a field point or a scan radius may lie, in wavelengths: there
+# the float64 rounding of r moves kr by at most about 7e-4 rad, and r^2
+# stays far from overflow
+FAR_LIMIT_WAVELENGTHS = 1e12
 
 
 class CoincidentPoint(ValueError):
@@ -166,22 +168,29 @@ def min_element_distances(array: ArrayGeometry, points: np.ndarray) -> np.ndarra
 
 
 def validate_clearance(array: ArrayGeometry, grid: ObservationGrid) -> None:
-    """Reject grids with non-finite points or points closer than ten
-    wavelengths to any element, naming the first such point."""
-    dists = min_element_distances(array, grid.points)
+    """Reject grids with non-finite points, points with a coordinate beyond
+    :data:`FAR_LIMIT_WAVELENGTHS` or points closer than ten wavelengths to
+    any element, naming the first such point."""
+    pts = grid.points
+    far = FAR_LIMIT_WAVELENGTHS * array.wavelength
+    # magnitudes are compared before any distance squares them; NaN fails
+    inside = (np.abs(pts) <= far).all(axis=1)
+    dists = min_element_distances(array, np.where(inside[:, None], pts, 0.0))
     limit = FAR_FIELD_CLEARANCE_WAVELENGTHS * array.wavelength
-    finite = np.isfinite(grid.points).all(axis=1)
-    bad = np.flatnonzero(~finite | (dists < limit))
+    bad = np.flatnonzero(~inside | (dists < limit))
     if bad.size:
         idx = int(bad[0])
-        if not finite[idx]:
-            raise ClearanceViolation(f"grid point {idx} at {grid.points[idx]} is not finite")
-        if dists[idx] == 0.0:
-            raise CoincidentPoint(
-                f"grid point {idx} at {grid.points[idx]} coincides with an element"
+        if not np.isfinite(pts[idx]).all():
+            raise ClearanceViolation(f"grid point {idx} at {pts[idx]} is not finite")
+        if not inside[idx]:
+            raise ClearanceViolation(
+                f"grid point {idx} at {pts[idx]} has a coordinate beyond {far:.6g} m "
+                f"({FAR_LIMIT_WAVELENGTHS:g} wavelengths)"
             )
+        if dists[idx] == 0.0:
+            raise CoincidentPoint(f"grid point {idx} at {pts[idx]} coincides with an element")
         raise ClearanceViolation(
-            f"grid point {idx} at {grid.points[idx]} is {dists[idx]:.6g} m from the "
+            f"grid point {idx} at {pts[idx]} is {dists[idx]:.6g} m from the "
             f"nearest element; minimum clearance is {limit:.6g} m "
             f"({FAR_FIELD_CLEARANCE_WAVELENGTHS:g} wavelengths)"
         )
@@ -231,9 +240,9 @@ def total_field(
     before the kernel: A = I + I∘Mz for Ez and B = I - I∘Mz for Ex and Ey,
     passed as ``field_sum``'s axial and transverse rows.  The middle row of
     an odd n_z pairs with itself, so its mirror current is 0 and A = B = I
-    there.  Each family is cut into ``field_sum`` calls of at most
-    :data:`BLOCK_PAIRS` (current row, point) pairs, A and B rows both
-    counted.
+    there.  Each family is one ``field_sum`` call, so the call's (3, K, R)
+    output for the family's R representatives and the P-sized gathers are
+    held at once: memory grows linearly with the number of points.
     """
     if exc.currents.shape != (array.num_elements,):
         raise ValueError(
@@ -250,10 +259,12 @@ def total_field(
     for paired, lo, hi in ((True, 0, on_plane), (False, on_plane, len(reps))):
         if lo == hi:
             continue
-        # the flip codes this family's points need, and each code's row
-        needed = np.bincount(flip[starts[lo] : starts[hi]], minlength=4) > 0
+        # the family's points, the flip codes they need and each code's row
+        at = slice(starts[lo], starts[hi])
+        f, idx = flip[at], order[at]
+        needed = np.bincount(f, minlength=4) > 0
         codes, slot = np.flatnonzero(needed), np.cumsum(needed) - 1
-        rows = np.stack([_mirrored(cur, f) for f in codes])
+        rows = np.stack([_mirrored(cur, code) for code in codes])
         if paired:
             # the z mirror of rows I and I∘Mx is their z-reversed slice; the
             # middle row of an odd n_z has no mirror
@@ -264,21 +275,14 @@ def total_field(
         else:
             axes = array.column_x, array.row_z
             currents, transverse = rows.reshape(len(rows), -1), None
-        block = max(1, BLOCK_PAIRS // (len(codes) * (2 if paired else 1)))
-        for b0 in range(lo, hi, block):
-            b1 = min(b0 + block, hi)
-            fx, fy, fz = kernels.field_sum(*axes, currents, reps[b0:b1], k, transverse)
-            s0, s1 = starts[b0], starts[b1]
-            point = np.repeat(np.arange(b1 - b0), np.diff(starts[b0 : b1 + 1]))
-            f = flip[s0:s1]
-            row = slot[f]
-            vx, vy, vz = fx[row, point], fy[row, point], fz[row, point]
-            # sign back: Ex flips under one of the two mirrors, Ey under z
-            np.negative(vx, out=vx, where=(f == 1) | (f == 2))
-            np.negative(vy, out=vy, where=f >= 2)
-            idx = order[s0:s1]
-            ex[idx], ey[idx], ez[idx] = vx, vy, vz
-            del fx, fy, fz, vx, vy, vz  # free this block before the next call
+        fx, fy, fz = kernels.field_sum(*axes, currents, reps[lo:hi], k, transverse)
+        point = np.repeat(np.arange(hi - lo), np.diff(starts[lo : hi + 1]))
+        row = slot[f]
+        vx, vy, vz = fx[row, point], fy[row, point], fz[row, point]
+        # sign back: Ex flips under one of the two mirrors, Ey under z
+        np.negative(vx, out=vx, where=(f == 1) | (f == 2))
+        np.negative(vy, out=vy, where=f >= 2)
+        ex[idx], ey[idx], ez[idx] = vx, vy, vz
     return FieldGrid(grid=grid, ex=ex, ey=ey, ez=ez)
 
 

@@ -40,29 +40,32 @@ point at rho = 0 takes azimuth 0 for that column, so its u is (dz/r, 0, 0).
 dz^2 is computed once per (z, point).  Each column is summed over z in
 ascending element order by numpy's vector loop over the tile's
 (point, column) plane, then the weighted column sums over the columns
-pairwise (``np.add.reduce`` along the row of columns).  numpy would sum a
-plane of one entry along z pairwise, so on one column (n_x = 1) a tile of
-one point is evaluated as two copies of it: a point alone equals itself in
-a tile.
+pairwise (``np.add.reduce`` along the row of columns).
 
 A call whose points all lie on z = 0 may pass transverse rows B for Ex and
 Ey beside the rows A that then drive Ez alone: X = B, and the call skips
 z_p P_c, which is 0 for each of its points.  It raises if a point is off
 z = 0, and never decides this from the call's other points.
 
-The kernel works in tiles of at most :data:`TILE_PAIRS` (point, element)
-pairs, which share each phasor and azimuth across the K current rows.  A
-call splits its tiles into up to :data:`WORKERS` contiguous shares, one per
-CPU in the process's affinity mask: it starts a thread for each share but
-the last, runs the last itself and joins the threads before it returns, so
-no thread outlives a call.  The shares run in parallel only while numpy
-has released the GIL, and numpy holds it for each call's dispatch and for
-every loop of 500 elements or fewer.  The per-(point, column) calls run
-on the tile's points times its columns: at 32,768 pairs, 8 x 64 = 512
-elements on a 64 x 64 lattice, above that threshold, and 20 x 40 = 800 on
-a 40 x 40 one.  Larger tiles also make fewer calls per pair, and each
-share builds its buffers' views once, so a tile's Python work is its numpy
-calls, about 42 of them at K = 4.
+The kernel works in tiles of TILE_PAIRS // M points, at most the call's
+points and at least two, so a tile holds at most :data:`TILE_PAIRS` (point,
+element) pairs unless two points take more; its points share each phasor
+and azimuth across the K current rows.  Every tile is full: a call pads its
+points to a multiple of the tile width with copies of its last point, whose
+values it drops.  numpy would sum a (point, column) plane of one entry
+along z pairwise, so the width of at least two keeps a lone point on one
+column (n_x = 1) equal to itself in a tile.  A call splits its tiles into
+up to :data:`WORKERS` contiguous shares, one per CPU in the process's
+affinity mask: it starts a thread for each share but the last, runs the
+last itself and joins the threads before it returns, so no thread outlives
+a call.  The shares run in parallel only while numpy has released the GIL,
+and numpy holds it for each call's dispatch and for every loop of 500
+elements or fewer.  The per-(point, column) calls run on the tile's points
+times its columns: at 32,768 pairs, 8 x 64 = 512 elements on a 64 x 64
+lattice, above that threshold, and 20 x 40 = 800 on a 40 x 40 one.  Larger
+tiles also make fewer calls per pair, and each share builds its buffers'
+views once, so a tile's Python work is its numpy calls, about 42 of them at
+K = 4.
 Each call copies its current rows once, (row, z, point, column), repeated
 down a tile's points, so every current product runs numpy's vector loop
 over the tile's whole (point, column) plane, not over one row of columns; a
@@ -268,55 +271,38 @@ def _tile_rows(rows, cur, dz=None):
 
 
 def _tiles(cols, rows, pts, k, out, starts, *buffers):
-    # One worker's share: the tiles that begin at ``starts``, a range whose
-    # step is the tile's point count, computed in place in its own buffers.
-    # Every operation sees the operand layout of the fresh temporary it
-    # replaces (np.tan runs on the contiguous t; only exactly rounded
-    # arithmetic writes into the strided halves of the complex w), so the
-    # buffers change no rounding.  Pair arrays are (z, point, column), the
-    # column sums reducing the leading axis, and dz^2 is (z, point, 1).  A
-    # tile of one point on one column is evaluated as two copies of the
-    # point (see the module docstring).  lift is the points' z as
+    # One worker's share: the tiles that begin at ``starts``, each as wide as
+    # the buffers, computed in place in its own buffers.  Every operation
+    # sees the operand layout of the fresh temporary it replaces (np.tan runs
+    # on the contiguous t; only exactly rounded arithmetic writes into the
+    # strided halves of the complex w), so the buffers change no rounding.
+    # Pair arrays are (z, point, column), the column sums reducing the
+    # leading axis, and dz^2 is (z, point, 1).  lift is the points' z as
     # (point, 1), or None in transverse calls, whose points are all on z = 0.
     xy, ze = cols
     axial, across, lift = rows
     floats, cplx, col_floats, col_weights, col_cplx = buffers
-    nz, ncol = ze.shape[0], xy.shape[2]
-    npts, step, width = pts.shape[0], starts.step, col_floats.shape[1]
+    nz, (width, ncol) = ze.shape[0], col_floats.shape[1:]
     pts_xy, pts_z = pts[:, :2].T[:, :, None], pts[:, 2, None]
-
-    def views(n):
-        # the buffers' views for a tile of n points, made once per share for
-        # its full tiles, so a tile's Python work is its numpy calls.
-        # Per (point, column): rho^2 and the weights (cos, sin, -rho) of the
-        # column sums, complex with imaginary parts 0, so that one complex
-        # product weights the three sums with the roundings of real ones;
-        # per current row and (point, column): the sums of X (0 - z_j) w
-        # (twice) and of I w.  Per pair: dz^2 is held in s2's buffer until
-        # s2 is computed, and the current products in t's and s2's, side by
-        # side, once w is.
-        weights = col_weights[:, :n]
-        sums = col_cplx[:, :, :n]
-        size = nz * n * ncol
-        r2, t, s2 = (f[:size].reshape(nz, n, ncol) for f in floats)
-        prod = floats[1:].reshape(-1).view(np.complex128)[:size].reshape(nz, n, ncol)
-        w = cplx[:size].reshape(nz, n, ncol)
-        products = [
-            (across[q, :, :n], axial[q, :, :n], sums[0, q], sums[2, q])
-            for q in range(axial.shape[0])
-        ]
-        dz2 = floats[2, : nz * n].reshape(nz, n, 1)
-        return (
-            weights.real[:2], weights.real[2], col_floats[:2, :n], col_floats[2, :n],
-            weights[:, None], sums, dz2, r2, t, s2, w, w.real, w.imag, prod, products,
-        )
-
-    full = views(width)
+    # The buffers' views, made once per share, so a tile's Python work is
+    # its numpy calls.  Per (point, column): rho^2 and the weights
+    # (cos, sin, -rho) of the column sums, complex with imaginary parts 0, so
+    # that one complex product weights the three sums with the roundings of
+    # real ones; per current row and (point, column): the sums of
+    # X (0 - z_j) w (twice) and of I w.  Per pair: dz^2 is held in s2's
+    # buffer until s2 is computed, and the current products in t's and s2's,
+    # side by side, once w is.
+    cs, rho, weights = col_weights.real[:2], col_weights.real[2], col_weights[:, None]
+    sq, rho2, sums = col_floats[:2], col_floats[2], col_cplx
+    pairs = (nz, width, ncol)
+    r2, t, s2 = (f[: cplx.size].reshape(pairs) for f in floats)
+    prod = floats[1:].reshape(-1).view(np.complex128)[: cplx.size].reshape(pairs)
+    w = cplx.reshape(pairs)
+    wr, wi = w.real, w.imag
+    dz2 = floats[2, : nz * width].reshape(nz, width, 1)
+    products = [(across[q], axial[q], sums[0, q], sums[2, q]) for q in range(axial.shape[0])]
     for s in starts:
-        e = min(s + step, npts)
-        at, n = (slice(s, e), e - s) if ncol > 1 or e - s > 1 else ([s, s], 2)
-        (cs, rho, sq, rho2, weights, sums, dz2, r2, t, s2, w, wr, wi, prod,
-         products) = full if n == width else views(n)
+        at = slice(s, s + width)
         np.subtract(pts_xy[:, at], xy, out=cs)
         np.multiply(cs, cs, out=sq)
         np.add(sq[0], sq[1], out=rho2)
@@ -360,7 +346,7 @@ def _tiles(cols, rows, pts, k, out, starts, *buffers):
         # each then summed over the columns
         np.copyto(sums[1], sums[0])
         np.multiply(sums, weights, out=sums)
-        np.add.reduce(sums[:, :, : e - s], axis=3, out=out[:, :, s:e])
+        np.add.reduce(sums, axis=3, out=out[:, :, at])
 
 
 def field_sum(
@@ -380,8 +366,9 @@ def field_sum(
     M = n_x n_z; the complex (Ex, Ey, Ez) arrays come back as (P,) or
     (K, P) to match.  The K excitations share every distance, phase and
     polarization evaluation, and each row equals a call with that row
-    alone, bit for bit.  Points must not coincide with elements (guaranteed
-    by the caller's clearance check).
+    alone, bit for bit.  ``points`` is only read, so it may be read-only.
+    Points must not coincide with elements (guaranteed by the caller's
+    clearance check).
 
     ``transverse``, of the same shape as ``currents``, gives Ex and Ey their
     own currents, and ``currents`` then drives Ez alone.  It is for points
@@ -401,6 +388,15 @@ def field_sum(
     nelem = ncol * nz
     if cur.ndim not in (1, 2) or cur.shape[-1] != nelem:
         raise ValueError("currents must have shape (M,) or (K, M): one entry per element")
+    # Tiles take the whole element row, so no point's sum is split and a
+    # point's value does not depend on which points share its tile, nor on
+    # which worker runs it.  Every tile is full: the points are padded with
+    # copies of the last one (see the module docstring).  The current rows
+    # are copied once, contiguous over a tile's points, so each product runs
+    # numpy's vector loop over the tile's (point, column) plane.
+    npts = pts.shape[0]
+    width = max(2, min(npts, TILE_PAIRS // max(nelem, 1)))
+    pts = np.concatenate([pts, np.repeat(pts[-1:], -npts % width, axis=0)])
     # Ex and Ey sum X (0 - z_j) w, X the transverse rows or the currents,
     # and add z_p sum I w, except in transverse calls: there every z_p is 0
     across_cur, lift = cur, pts[:, 2, None]
@@ -410,22 +406,12 @@ def field_sum(
             raise ValueError(f"transverse must have the shape of currents, {cur.shape}")
         if (pts[:, 2] != 0.0).any():
             raise ValueError("transverse currents need every point on z = 0")
-    # Tiles of TILE_PAIRS // M points each take the whole element row, so no
-    # point's sum is split and a point's value does not depend on which
-    # points share its tile, nor on which worker runs it.  The current rows
-    # are copied once, contiguous over a tile's points, so each product runs
-    # numpy's vector loop over the tile's (point, column) plane.  A single
-    # column evaluates a lone point as two, so its buffers hold two points
-    # or more.
     k = float(k)
     nk = cur.shape[0] if cur.ndim == 2 else 1
-    npts = pts.shape[0]
-    step = max(1, min(npts, TILE_PAIRS // max(nelem, 1)))
-    width = max(step, 2) if ncol == 1 else step
-    out = np.empty((3, nk, npts), np.complex128)
+    out = np.empty((3, nk, len(pts)), np.complex128)
     # the columns' x and y = 0 as (2, 1, column), the rows' z as (z, 1, 1)
     cols = (np.stack([x, np.zeros_like(x)])[:, None], z[:, None, None])
-    starts = range(0, npts, step)
+    starts = range(0, len(pts), width)
     nw = max(1, min(WORKERS, len(starts)))
     shares = [starts[w * len(starts) // nw : (w + 1) * len(starts) // nw] for w in range(nw)]
     # Every work buffer is a view of the calling thread's scratch buffer, the
@@ -465,5 +451,4 @@ def field_sum(
         t.join()
     if faults:
         raise faults[0]
-    ex, ey, ez = out if cur.ndim == 2 else out[:, 0]
-    return ex, ey, ez
+    return tuple(out[..., :npts] if cur.ndim == 2 else out[:, 0, :npts])

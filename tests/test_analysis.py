@@ -6,6 +6,7 @@ import pytest
 from nfbeam.analysis import (
     EmptyGrid,
     RadiusOutOfRange,
+    check_scan_radius,
     estimate_direction,
     export_report_csv,
     first_null,
@@ -14,7 +15,13 @@ from nfbeam.analysis import (
     steering_unit_vector,
     transverse_profile,
 )
-from nfbeam.field import ClearanceViolation, FieldGrid, ObservationGrid, total_field
+from nfbeam.field import (
+    FAR_LIMIT_WAVELENGTHS,
+    ClearanceViolation,
+    FieldGrid,
+    ObservationGrid,
+    total_field,
+)
 from nfbeam.geometry import SteeringAngles
 from nfbeam.synthesis import ArrayGeometry, synthesize, to_excitation
 from nfbeam.wavefront import Wavefront, steer
@@ -158,6 +165,16 @@ class TestDirections:
         arr, exc = cone_beam(8)
         with pytest.raises(RadiusOutOfRange):
             estimate_direction(arr, exc, 0.5 * arr.aperture_radius)
+
+    def test_radius_beyond_far_limit_rejected(self):
+        # up to 1e12 wavelengths r keeps its phase; beyond, the scan is refused
+        arr, exc = cone_beam(8)
+        far = FAR_LIMIT_WAVELENGTHS * arr.wavelength
+        check_scan_radius(arr, far)
+        with pytest.raises(RadiusOutOfRange, match=r"^scan radius 1e\+200 m must be at most "):
+            estimate_direction(arr, exc, 1e200)
+        with pytest.raises(RadiusOutOfRange, match="at most"):
+            check_scan_radius(arr, math.nextafter(far, math.inf))
 
 
 class TestCrossPolMonotonicity:

@@ -269,6 +269,60 @@ class TestExitCodes:
         assert calls == []
         assert not out_dir.exists()
 
+    # the far limit is 1e12 wavelengths, 3 km at 100 GHz: beyond it r^2
+    # overflows or r keeps no phase (RuntimeWarnings fail the tests)
+    @pytest.mark.parametrize(
+        "command, options, extra, message",
+        [
+            pytest.param(
+                "run", ["--h-over-r", "1e-200"], "",
+                "scan radius 4.23971e+197 m must be at most 2.99792e+09 m (1e+12 wavelengths);"
+                " it is half the propagation range of cone slope h/r = 1e-200",
+                id="run-cone_slope_1e-200",
+            ),
+            pytest.param(
+                "run", ["--h-over-r", "1e-150"], "",
+                "scan radius 4.23971e+147 m must be at most 2.99792e+09 m (1e+12 wavelengths);"
+                " it is half the propagation range of cone slope h/r = 1e-150",
+                id="run-cone_slope_1e-150",
+            ),
+            pytest.param(
+                "analyze", [], "analysis:\n  radius_m: 1.0e+200\n",
+                "scan radius 1e+200 m must be at most 2.99792e+09 m (1e+12 wavelengths)",
+                id="analyze-radius_1e200",
+            ),
+        ],
+    )
+    def test_far_scan_radius_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, options, extra, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "synthesize", lambda *args: calls.append(args))
+        path, out_dir = write_config(tmp_path)
+        path.write_text(path.read_text() + extra)
+        assert main([command, "--config", str(path), "--nx", "8", "--nz", "8", *options]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+        assert not out_dir.exists()
+
+    def test_far_field_bounds_exit_2(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        bounds = "[[-1.0e+200, 1.0e+200], [0.05, 0.1]]"
+        path.write_text(path.read_text().replace("[[-0.02, 0.02], [0.05, 0.1]]", bounds))
+        assert main(["field", "--config", str(path)]) == 2
+        assert re.fullmatch(
+            r"config error: grid point 0 at \[-1\.?e\+200 .*\] has a coordinate beyond "
+            r"2\.99792e\+09 m \(1e\+12 wavelengths\)\n",
+            capsys.readouterr().err,
+        )
+
+    def test_cone_slope_inside_far_limit_runs(self, tmp_path, capsys):
+        # h/r = 1e-9 scans an 8 x 8 array at about 1.2e9 wavelengths
+        path, _ = write_config(tmp_path)
+        options = ["--nx", "8", "--nz", "8", "--h-over-r", "1e-9"]
+        assert main(["run", "--config", str(path), *options]) == 0
+        assert "direction_scan_radius_m" in (tmp_path / "out" / "report.csv").read_text()
+
     def test_internal_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a non-finite field makes the heatmap writer raise ValueError
         def nan_field(array, exc, grid):

@@ -201,6 +201,18 @@ class TestClearance:
         with pytest.raises(ClearanceViolation, match="grid point 1 at .* is not finite"):
             total_field(arr, uniform_excitation(arr), grid)
 
+    def test_far_point_rejected_with_index(self):
+        # a coordinate beyond 1e12 wavelengths is refused before any distance
+        # is squared (RuntimeWarnings fail the tests); at the limit it passes
+        arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
+        far = field.FAR_LIMIT_WAVELENGTHS * WAVELENGTH
+        validate_clearance(arr, ObservationGrid.from_points([[far, far, -far]]))
+        for big in (math.nextafter(far, math.inf), 1e200, -1.7e308):
+            pts = np.array([[0.0, 0.2, 0.0], [0.0, 0.2, big], [0.0, 0.3, 0.0]])
+            grid = ObservationGrid.from_points(pts)
+            with pytest.raises(ClearanceViolation, match="grid point 1 at .* has a coordinate beyond"):
+                total_field(arr, uniform_excitation(arr), grid)
+
     def test_coincident_point_named(self):
         arr = ArrayGeometry.half_wave(4, 4, WAVELENGTH)
         grid = ObservationGrid.from_points(arr.element_positions[5][None, :])
@@ -445,26 +457,35 @@ class TestMirrorFolding:
         assert half[2].estimated_elevation == full[2].estimated_elevation
         np.testing.assert_array_equal(half[2].peak_point, full[2].peak_point)
 
-    def test_block_size_changes_no_bit(self, monkeypatch, rng):
-        # each mirror family is cut into field_sum calls of at most
-        # field.BLOCK_PAIRS (current row, point) pairs: 37 gives a few
-        # representatives per call, 1,000 a few hundred, the default 8,192
-        # two calls for the xy grid; the cut changes no bit of a result
+    def test_one_field_sum_call_per_family(self, monkeypatch, rng):
+        # each non-empty mirror family, the representatives on z = 0 and the
+        # rest, is one kernels.field_sum call that takes all of its points
         arr = ArrayGeometry.half_wave(7, 9, WAVELENGTH)
         exc = Excitation(random_currents(rng, arr))
         sets = folding_sets(rng)
         sets["z = 0 line"] = z0_line()
-        want = {name: total_field(arr, exc, grid) for name, grid in sets.items()}
-        for pairs in (37, 1000):
-            monkeypatch.setattr(field, "BLOCK_PAIRS", pairs)
-            for name, grid in sets.items():
-                fg, ref = total_field(arr, exc, grid), want[name]
-                for got, expected in zip((fg.ex, fg.ey, fg.ez), (ref.ex, ref.ey, ref.ez)):
-                    np.testing.assert_array_equal(got, expected, err_msg=f"{pairs}: {name}")
+        field_sum, calls = kernels.field_sum, []
+
+        def counted(*args):
+            calls.append(args[3])
+            return field_sum(*args)
+
+        monkeypatch.setattr(kernels, "field_sum", counted)
+        for name, grid in sets.items():
+            calls.clear()
+            total_field(arr, exc, grid)
+            z = grid.points[:, 2]
+            assert len(calls) == int((z == 0.0).any()) + int((z != 0.0).any()), name
+            reps = np.abs(grid.points)
+            reps[:, 1] = grid.points[:, 1]
+            assert sum(map(len, calls)) == len(np.unique(reps, axis=0)), name
+            assert all((c[:, 2] == 0.0).all() or c[:, 2].all() for c in calls), name
+        calls.clear()
         # no points: three empty complex fields
         empty = total_field(arr, exc, ObservationGrid.from_points(np.empty((0, 3))))
         for e in (empty.ex, empty.ey, empty.ez):
             assert e.shape == (0,) and e.dtype == np.complex128
+        assert calls == []
 
 
 class TestMirrorPairSums:

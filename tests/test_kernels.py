@@ -202,7 +202,8 @@ class TestWorkerCount:
             pytest.param(1, 40, STEP_40 + STEP_40 // 4, id="40-2_tiles"),
             pytest.param(40, 1, 3 * STEP_40 // 4, id="40-1_tile"),
             pytest.param(8, 5, 0, id="40-0"),
-            # a point per tile, on one column
+            # tiles of two points, above the budget, the last one padded, on
+            # one column
             pytest.param(1, kernels.TILE_PAIRS + 5, 7, id="M_above_budget-7"),
         ],
     )
@@ -319,7 +320,7 @@ class TestFieldSum:
         assert not ey.any() and not ez.any()
 
     def test_chunked_equals_unchunked(self, rng, monkeypatch):
-        # a point per tile at 7 pairs: on one column every tile is a lone point
+        # tiles of two points at 7 pairs, above the budget on every lattice
         for n_x, n_z in ((4, 5), (1, 20), (20, 1), (3, 7)):
             x, z, _, pts, k = field_sum_case(rng, n_x, n_z, 50, 0)
             currents = [np.exp(1j * rng.uniform(0, 2 * math.pi, (nk, n_x * n_z))) for nk in (1, 3)]
@@ -371,16 +372,16 @@ class TestFieldSum:
                 (3, 3, 9000),
                 # at a 32,768-pair budget: tiles of 3 points, the last one short
                 (7, 1171, 4),
-                # at a 32,768-pair budget: two points do not fit, one per
-                # tile, on one column
+                # at a 32,768-pair budget: two points do not fit, and the
+                # tiles take two anyway, on one column
                 (1, 16389, 4),
             ]
         ]
         + [pytest.param(5, kernels.TILE_PAIRS // 5 + 1, 4, id="M_above_budget-4")],
     )
     def test_point_alone_equals_point_in_tile(self, rng, n_x, n_z, npts, nk):
-        # thousands of points per tile and tiles that end mid-call, or one
-        # point per tile when two do not fit or M exceeds the budget: each
+        # thousands of points per tile and tiles padded at the end of the
+        # call, or two points per tile when two do not fit the budget: each
         # point's value is its one-point, one-current value, bit for bit (a
         # broadcast product of one element rounds differently at M = 1)
         x, z, cur, pts, k = field_sum_case(rng, n_x, n_z, npts, nk)
@@ -396,11 +397,16 @@ class TestFieldSum:
     @pytest.mark.parametrize("nk", [1, 3])
     @pytest.mark.parametrize("layout", LATTICES)
     def test_lattice_point_alone_equals_point_in_tile(self, rng, monkeypatch, layout, nk):
-        # tiles of 3 points, the last one short: every point, on the axis of
-        # a column or not, is its one-point, one-current value, bit for bit
+        # tiles of 3 points, the last one padded: every point, on the axis of
+        # a column or not, is its one-point, one-current value, bit for bit.
+        # The points are read-only and come back unchanged, one value each.
         x, z, cur, pts, k = lattice_case(rng, layout, 20, nk)
         monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * cur.shape[1] + 1)
+        given = pts.copy()
+        pts.setflags(write=False)
         rows = kernels.field_sum(x, z, cur, pts, k)
+        np.testing.assert_array_equal(pts, given)
+        assert all(e.shape == (nk, 20) for e in rows)
         for p in range(len(pts)):
             for q in range(nk):
                 alone = kernels.field_sum(x, z, cur[q], pts[p : p + 1], k)
@@ -410,8 +416,9 @@ class TestFieldSum:
     def test_one_column_lone_point_equals_point_in_full_tile(self, rng, monkeypatch):
         # one column: a tile's (point, column) plane has one entry per point,
         # and numpy sums a plane of one entry pairwise.  Tiles of 3 points
-        # leave point 6 alone in the last tile; it and every one-point call
-        # keep the value of the point in the middle of a full tile.
+        # pad the last one, point 6, with copies of it, and a one-point call
+        # takes a tile of two; both keep the value of the point in the
+        # middle of a full tile.
         x, z, cur, pts, k = field_sum_case(rng, 1, 40, 7, 2)
         monkeypatch.setattr(kernels, "TILE_PAIRS", 3 * 40)
         rows = kernels.field_sum(x, z, cur, pts, k)
@@ -617,7 +624,7 @@ def _z0_args(rng, nk):
 
 
 REUSE_CASES = {
-    # more elements than TILE_PAIRS: a point per tile
+    # more elements than TILE_PAIRS: two points per tile, the last padded
     "above_budget": lambda rng: field_sum_case(rng, 5, kernels.TILE_PAIRS // 5 + 1, 7, 4),
     # five tiles of a 16x16 lattice, split over the workers
     "k4_lattice": lambda rng: (*lattice(16, 16), *field_sum_case(rng, 16, 16, 600, 4)[2:]),
@@ -625,7 +632,7 @@ REUSE_CASES = {
     "k4_transverse": lambda rng: _z0_args(rng, 4),
     "empty": lambda rng: (*lattice(8, 8), *field_sum_case(rng, 8, 8, 0, 4)[2:]),
     "k1_transverse": lambda rng: _one_row(_z0_args(rng, 1)),
-    # a lone point on one column, evaluated as a pair
+    # a lone point on one column, padded to a tile of two
     "k3_one_column_one_point": lambda rng: field_sum_case(rng, 1, 40, 1, 3),
 }
 
